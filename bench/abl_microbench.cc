@@ -10,6 +10,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <deque>
+#include <random>
+
 #include "core/experiment.hh"
 #include "host/host_core.hh"
 #include "mem/cache.hh"
@@ -40,6 +43,100 @@ BM_EventQueueScheduleService(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueScheduleService);
+
+/** Seed shared by the event-queue access-pattern benchmarks. */
+constexpr std::uint64_t eventqSeed = 0x5eed'e7e9ULL;
+
+/** @p n counting events that live as long as the returned deque. */
+std::deque<sim::EventFunctionWrapper>
+countingEvents(std::size_t n, std::uint64_t &count)
+{
+    std::deque<sim::EventFunctionWrapper> events;
+    for (std::size_t i = 0; i < n; ++i)
+        events.emplace_back([&count] { ++count; }, "count");
+    return events;
+}
+
+void
+BM_EventQueueRescheduleChurn(benchmark::State &state)
+{
+    // Timers and tick events moved again and again before they
+    // fire: the indexed heap re-keys each one in place.
+    constexpr std::size_t depth = 4096;
+    std::uint64_t count = 0;
+    sim::EventQueue eq;
+    auto events = countingEvents(depth, count);
+    for (std::size_t i = 0; i < depth; ++i)
+        eq.schedule(events[i], 1 + (Tick)i);
+    std::mt19937_64 rng(eventqSeed);
+    for (auto _ : state)
+        eq.reschedule(events[rng() % depth], 1 + rng() % 100000);
+    state.SetItemsProcessed(state.iterations());
+    for (auto &ev : events)
+        eq.deschedule(ev);
+}
+BENCHMARK(BM_EventQueueRescheduleChurn);
+
+void
+BM_EventQueueDescheduleChurn(benchmark::State &state)
+{
+    // Schedule/cancel pairs under one far-future event, no service.
+    std::uint64_t count = 0;
+    sim::EventQueue eq;
+    sim::EventFunctionWrapper far_event([&count] { ++count; }, "far");
+    eq.schedule(far_event, maxTick - 2);
+    auto events = countingEvents(64, count);
+    std::mt19937_64 rng(eventqSeed);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        auto &ev = events[next++ % events.size()];
+        eq.schedule(ev, 1 + rng() % 4096);
+        eq.deschedule(ev);
+    }
+    state.SetItemsProcessed(state.iterations());
+    eq.deschedule(far_event);
+}
+BENCHMARK(BM_EventQueueDescheduleChurn);
+
+void
+BM_EventQueueSameTickBurst(benchmark::State &state)
+{
+    // Clocked systems put whole bursts (every CPU + cache + DRAM
+    // event of a cycle) on one tick and drain them back-to-back.
+    constexpr std::size_t burst = 512;
+    std::uint64_t count = 0;
+    sim::EventQueue eq;
+    auto events = countingEvents(burst, count);
+    for (auto _ : state) {
+        Tick tick = eq.curTick() + 1;
+        for (auto &ev : events)
+            eq.schedule(ev, tick);
+        eq.serviceUntil(tick);
+    }
+    benchmark::DoNotOptimize(count);
+    state.SetItemsProcessed(state.iterations() * burst);
+}
+BENCHMARK(BM_EventQueueSameTickBurst);
+
+void
+BM_EventQueueAutodeleteStorm(benchmark::State &state)
+{
+    // Dynamic one-shot events at simulation rate: pooled
+    // auto-delete wrappers spread over a few ticks.
+    constexpr int storm = 256;
+    std::uint64_t count = 0;
+    sim::EventQueue eq;
+    for (auto _ : state) {
+        Tick tick = eq.curTick() + 1;
+        for (int i = 0; i < storm; ++i)
+            eq.scheduleOneShot(tick + i % 7, [&count] { ++count; },
+                               "storm");
+        eq.serviceUntil(maxTick - 1);
+    }
+    benchmark::DoNotOptimize(count);
+    state.SetItemsProcessed(state.iterations() * storm);
+}
+BENCHMARK(BM_EventQueueAutodeleteStorm);
 
 void
 BM_EventQueueDepth(benchmark::State &state)

@@ -97,11 +97,13 @@ class RunCache
     get(core::RunConfig cfg)
     {
         normalize(cfg);
-        std::string key = keyOf(cfg);
+        std::string key = core::runKey(cfg);
         auto it = cache_.find(key);
         if (it != cache_.end())
             return it->second;
-        std::cerr << "  running " << key << " ...\n";
+        std::cerr << "  running " << cfg.workload << " "
+                  << os::cpuModelName(cfg.cpuModel) << " on "
+                  << cfg.platform.name << " ...\n";
         auto [pos, _] =
             cache_.emplace(key, core::runProfiledSimulation(cfg));
         return pos->second;
@@ -121,7 +123,7 @@ class RunCache
         std::vector<std::string> keys;
         for (core::RunConfig &cfg : configs) {
             normalize(cfg);
-            std::string key = keyOf(cfg);
+            std::string key = core::runKey(cfg);
             if (cache_.count(key) ||
                 std::find(keys.begin(), keys.end(), key) !=
                     keys.end())
@@ -147,22 +149,6 @@ class RunCache
     {
         cfg.workloadScale = opts_.scale;
         cfg.maxGuestInsts = opts_.maxGuestInsts;
-    }
-
-    std::string
-    keyOf(const core::RunConfig &cfg) const
-    {
-        return cfg.workload + "|" +
-            os::cpuModelName(cfg.cpuModel) + "|" +
-            os::simModeName(cfg.mode) + "|" + cfg.platform.name +
-            "|" + std::to_string(cfg.corun.processes) +
-            (cfg.corun.smt ? "s" : "") +
-            "|thp" + std::to_string(cfg.tuning.thpCode) +
-            "|ehp" + std::to_string(cfg.tuning.ehpCode) +
-            "|o3" + std::to_string(cfg.tuning.optO3) +
-            "|f" + fmtDouble(cfg.tuning.freqGHzOverride, 2) +
-            "|t" + std::to_string(cfg.tuning.turbo) +
-            "|seed" + std::to_string(cfg.seed);
     }
 
     BenchOptions opts_;

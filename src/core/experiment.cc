@@ -1,5 +1,8 @@
 #include "core/experiment.hh"
 
+#include <cstdio>
+#include <sstream>
+
 #include "base/logging.hh"
 #include "mem/packet_pool.hh"
 #include "trace/code_layout.hh"
@@ -37,7 +40,88 @@ constexpr double o3WorkScale = 0.995;
  */
 constexpr double thpCoverage = 0.55;
 
+/** Bit-exact double rendering for runKey. */
+std::string
+hexDouble(double d)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", d);
+    return buf;
+}
+
 } // namespace
+
+std::string
+runKey(const RunConfig &config)
+{
+    const host::HostPlatformConfig &p = config.platform;
+    std::ostringstream key;
+    auto cache = [&key](const char *name,
+                        const host::HostCacheGeometry &g) {
+        key << ' ' << name << '=' << g.sizeBytes << '/' << g.assoc
+            << '/' << g.lineBytes;
+    };
+    auto tlb = [&key](const char *name,
+                      const host::HostTlbGeometry &g) {
+        key << ' ' << name << '=' << g.entries << '/' << g.assoc;
+    };
+    auto real = [&key](const char *name, double v) {
+        key << ' ' << name << '=' << hexDouble(v);
+    };
+
+    key << "workload=" << config.workload
+        << " cpu=" << os::cpuModelName(config.cpuModel)
+        << " mode=" << os::simModeName(config.mode)
+        << " cpus=" << config.guestCpus;
+    real("scale", config.workloadScale);
+    key << " maxInsts=" << config.maxGuestInsts
+        << " ffInsts=" << config.fastForwardInsts
+        << " seed=" << config.seed
+        << " corun=" << config.corun.processes
+        << (config.corun.smt ? "smt" : "");
+    key << " tuning=" << config.tuning.thpCode << config.tuning.ehpCode
+        << config.tuning.optO3 << config.tuning.hotLayout
+        << config.tuning.turbo;
+    real("freqOverride", config.tuning.freqGHzOverride);
+
+    key << " platform=" << p.name;
+    real("freq", p.freqGHz);
+    real("turboFreq", p.turboGHz);
+    key << " width=" << p.dispatchWidth << " line=" << p.lineBytes
+        << " pageBits=" << p.pageBits;
+    cache("icache", p.icache);
+    cache("dcache", p.dcache);
+    cache("l2", p.l2);
+    cache("llc", p.llc);
+    key << " hasLlc=" << p.hasLlc;
+    tlb("itlb", p.itlb);
+    tlb("dtlb", p.dtlb);
+    real("itlbWalk", p.itlbWalkCycles);
+    real("dtlbWalk", p.dtlbWalkCycles);
+    key << " bpred=" << p.bpred.tableBits << '/' << p.bpred.btbEntries
+        << '/' << p.bpred.rasEntries << '/' << p.bpred.indirectEntries;
+    real("mispredict", p.mispredictPenalty);
+    real("resteer", p.resteerCycles);
+    real("unknownBranch", p.unknownBranchCycles);
+    key << " dsb=" << p.dsb.windows << '/' << p.dsb.assoc << '/'
+        << p.dsb.ineligiblePct;
+    real("dsbUops", p.dsbUopsPerCycle);
+    real("miteUops", p.miteUopsPerCycle);
+    real("l2Lat", p.l2LatencyCycles);
+    real("llcLat", p.llcLatencyCycles);
+    real("memLatNs", p.memLatencyNs);
+    real("icacheExposed", p.icacheMissExposed);
+    real("l2Exposed", p.l2Exposed);
+    real("llcExposed", p.llcExposed);
+    real("memExposed", p.memExposed);
+    real("storeExposed", p.storeExposed);
+    real("beCorePerUop", p.beCorePerUop);
+    key << " topology=" << p.physicalCores << '/' << p.hwThreads << '/'
+        << p.coresPerL2 << '/' << p.coresPerLlc << '/'
+        << p.smtCapable;
+    real("memBw", p.memBwGBs);
+    return key.str();
+}
 
 host::HostPlatformConfig
 effectivePlatform(const RunConfig &config)

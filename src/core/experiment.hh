@@ -160,6 +160,18 @@ struct RunResult
 RunResult runProfiledSimulation(const RunConfig &config);
 
 /**
+ * Canonical identity text of @p config: every field that can change
+ * a run's result — workload, model, mode, guest CPUs, scale,
+ * instruction limits, fast-forward, seed, co-run scenario, tuning
+ * and every HostPlatformConfig field (doubles as hex-floats, so the
+ * key is bit-exact). Run control (config.run, profiler) and
+ * sinkBatchOps (bit-identical either way) stay out. Two configs
+ * with equal keys produce identical results; the bench run cache
+ * and the sweep service's result cache both key on it.
+ */
+std::string runKey(const RunConfig &config);
+
+/**
  * Run a SPEC reference stream (bare metal, no mg5) on a platform.
  * Fills only the host-side fields.
  */

@@ -1,5 +1,6 @@
 #include "cpu/minor_cpu.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "sim/event_dispatch.hh"
@@ -10,15 +11,6 @@ namespace g5p::cpu
 
 namespace
 {
-
-/** Per-fetch bookkeeping carried through the memory system. */
-struct FetchReq
-{
-    Addr vpc;
-    Addr paddr;
-    unsigned bytes;      ///< fetch-block length
-    std::uint64_t epoch;
-};
 
 /** Fetch-block size: Minor fetches whole 32B lines (gem5 Fetch1). */
 constexpr unsigned minorFetchBytes = 32;
@@ -65,7 +57,7 @@ MinorCpu::tick()
         return;
     // A cycle spent purely waiting for an ifetch response does no
     // pipeline work; gem5 Minor's evaluate() is equally trivial then.
-    bool waiting = inputBuffer_.empty() && fetchesInFlight_ > 0;
+    bool waiting = inputBuffer_.empty() && !fetches_.empty();
     if (waiting) {
         fetchBubbles_ += 1;
     } else {
@@ -117,7 +109,7 @@ MinorCpu::tryExecute()
         return;
     }
     if (inst.flags().isLoad &&
-        (outstandingLoads_ >= minorParams_.maxOutstandingLoads ||
+        (loads_.size() >= minorParams_.maxOutstandingLoads ||
          (inst.rd() != 0 && scoreboard_[inst.rd()])))
         return; // LQ full or WAW on an in-flight load
     if (inst.flags().isStore &&
@@ -148,7 +140,6 @@ MinorCpu::tryExecute()
     }
 
     if (inst.flags().isLoad) {
-        ++outstandingLoads_;
         if (inst.rd() != 0)
             scoreboard_[inst.rd()] = true;
     } else if (inst.flags().isStore) {
@@ -181,9 +172,9 @@ void
 MinorCpu::tryFetch()
 {
     if (stopping_ ||
-        fetchesInFlight_ >= minorParams_.maxOutstandingFetches)
+        fetches_.size() >= minorParams_.maxOutstandingFetches)
         return;
-    if (inputBuffer_.size() + fetchesInFlight_ >=
+    if (inputBuffer_.size() + fetches_.size() >=
         minorParams_.inputBufferSize)
         return;
     G5P_TRACE_SCOPE("MinorCpu::fetch", CpuDetailed, true);
@@ -198,9 +189,8 @@ MinorCpu::tryFetch()
                      minorFetchBytes;
     auto bytes = (unsigned)(block_end - fetchPc_);
 
-    auto *req = new FetchReq{fetchPc_, itr.translation.paddr, bytes,
-                             fetchEpoch_};
-    ++fetchesInFlight_;
+    FetchReq *req = &fetches_.emplace_back(
+        FetchReq{fetchPc_, itr.translation.paddr, bytes, fetchEpoch_});
     fetchPc_ = block_end; // sequential guess; decode may redirect
 
     auto issue = [this, req] {
@@ -223,23 +213,27 @@ void
 MinorCpu::recvInstResp(mem::PacketPtr pkt)
 {
     G5P_TRACE_SCOPE("MinorCpu::recvInstResp", CpuDetailed, true);
-    auto *req = static_cast<FetchReq *>(pkt->senderState());
+    auto *sent = static_cast<FetchReq *>(pkt->senderState());
     delete pkt;
-    g5p_assert(fetchesInFlight_ > 0, "%s: stray fetch response",
+    auto it = std::find_if(fetches_.begin(), fetches_.end(),
+                           [sent](const FetchReq &f) {
+                               return &f == sent;
+                           });
+    g5p_assert(it != fetches_.end(), "%s: stray fetch response",
                name().c_str());
-    --fetchesInFlight_;
+    const FetchReq req = *it;
+    fetches_.erase(it);
 
-    if (halted_ || stopping_ || req->epoch != fetchEpoch_) {
-        delete req; // wrong-path or stale fetch
-        maybeReschedule();
+    if (halted_ || stopping_ || req.epoch != fetchEpoch_) {
+        maybeReschedule(); // wrong-path or stale fetch
         return;
     }
 
     // Decode the whole block in fetch order; stop at the first
     // predicted-taken control instruction ("Fetch2" prediction).
-    Addr vpc = req->vpc;
-    Addr ppc = req->paddr;
-    Addr vend = req->vpc + req->bytes;
+    Addr vpc = req.vpc;
+    Addr ppc = req.paddr;
+    Addr vend = req.vpc + req.bytes;
     Addr next_fetch = vend;
 
     while (vpc < vend) {
@@ -259,7 +253,7 @@ MinorCpu::recvInstResp(mem::PacketPtr pkt)
         }
 
         inputBuffer_.push_back(
-            FetchedInst{inst, vpc, pred_npc, req->epoch});
+            FetchedInst{inst, vpc, pred_npc, req.epoch});
 
         if (pred_npc != vpc + isa::instBytes) {
             next_fetch = pred_npc;
@@ -270,7 +264,6 @@ MinorCpu::recvInstResp(mem::PacketPtr pkt)
     }
 
     fetchPc_ = next_fetch;
-    delete req;
     maybeReschedule();
 }
 
@@ -287,7 +280,8 @@ MinorCpu::execReadMem(Addr vaddr, unsigned size)
 
     // The response is matched to its load via sender state (several
     // loads can be in flight and L1 responses may reorder).
-    auto *record = new InflightLoad{pendingLoadInst_, memData_};
+    InflightLoad *record =
+        &loads_.emplace_back(InflightLoad{pendingLoadInst_, memData_});
     Addr paddr = tr.translation.paddr;
     auto issue = [this, paddr, size, record] {
         auto *pkt = new mem::Packet(mem::MemCmd::ReadReq, paddr, size);
@@ -339,12 +333,15 @@ MinorCpu::recvDataResp(mem::PacketPtr pkt)
     delete pkt;
 
     if (is_read) {
-        g5p_assert(record && outstandingLoads_ > 0,
-                   "%s: stray load response", name().c_str());
-        record->inst->completeAcc(ctx_, record->data);
-        scoreboard_[record->inst->rd()] = false;
-        --outstandingLoads_;
-        delete record;
+        auto it = std::find_if(loads_.begin(), loads_.end(),
+                               [record](const InflightLoad &l) {
+                                   return &l == record;
+                               });
+        g5p_assert(it != loads_.end(), "%s: stray load response",
+                   name().c_str());
+        it->inst->completeAcc(ctx_, it->data);
+        scoreboard_[it->inst->rd()] = false;
+        loads_.erase(it);
     } else {
         g5p_assert(outstandingStores_ > 0, "%s: stray store response",
                    name().c_str());
@@ -358,7 +355,7 @@ MinorCpu::serialize(sim::CheckpointOut &cp) const
 {
     // Quiescence (no pending transient events) implies no in-flight
     // fetches or memory accesses; anything else is a checkpoint bug.
-    g5p_assert(fetchesInFlight_ == 0 && outstandingLoads_ == 0 &&
+    g5p_assert(fetches_.empty() && loads_.empty() &&
                outstandingStores_ == 0,
                "%s: cannot checkpoint with accesses in flight",
                name().c_str());
@@ -432,8 +429,8 @@ MinorCpu::unserialize(const sim::CheckpointIn &cp)
 
     for (bool &busy : scoreboard_)
         busy = false;
-    fetchesInFlight_ = 0;
-    outstandingLoads_ = 0;
+    fetches_.clear();
+    loads_.clear();
     outstandingStores_ = 0;
     pendingLoadInst_.reset();
 

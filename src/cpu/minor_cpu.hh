@@ -11,6 +11,7 @@
 #define G5P_CPU_MINOR_CPU_HH
 
 #include <deque>
+#include <list>
 
 #include "cpu/base_cpu.hh"
 #include "cpu/o3/bpred.hh"
@@ -98,15 +99,28 @@ class MinorCpu : public BaseCpu
     CpuExecContext ctx_;
     BranchPredictor bpred_;
 
+    /** Per-fetch bookkeeping carried through the memory system. */
+    struct FetchReq
+    {
+        Addr vpc;
+        Addr paddr;
+        unsigned bytes; ///< fetch-block length
+        std::uint64_t epoch;
+    };
+
     Addr fetchPc_;
     std::uint64_t fetchEpoch_ = 0;
-    unsigned fetchesInFlight_ = 0;
+    /** In-flight fetches. Owned here (the packet carries a pointer),
+     *  so a fetch still in flight at teardown leaks nothing. */
+    std::list<FetchReq> fetches_;
 
     std::deque<FetchedInst> inputBuffer_;
 
     bool scoreboard_[isa::numArchRegs] = {};
     isa::StaticInstPtr pendingLoadInst_; ///< set before execute()
-    unsigned outstandingLoads_ = 0;
+    /** Loads sent to the dcache; each packet carries a pointer to its
+     *  entry. Owned here, like fetches_. */
+    std::list<InflightLoad> loads_;
     unsigned outstandingStores_ = 0;
 
     /** Set when execute stops the machine (halt). */

@@ -1,5 +1,6 @@
 #include "cpu/o3/o3_cpu.hh"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_map>
 
@@ -219,7 +220,7 @@ O3Cpu::issueStage()
 void
 O3Cpu::issueLoad(const DynInstPtr &di)
 {
-    auto *holder = new DynInstPtr(di);
+    DynInstPtr *holder = &loadsInFlight_.emplace_back(di);
     Addr paddr = di->paddr;
     unsigned size = di->memSize;
     Cycles delay = di->dtlbLatency;
@@ -417,18 +418,17 @@ O3Cpu::fetchStage()
     unsigned bytes = (unsigned)(block_end - fetchPc_);
     bytes = std::min(bytes, o3Params_.fetchWidth * isa::instBytes);
 
-    auto *block = new FetchBlock{fetchPc_, itr.translation.paddr,
-                                 bytes, fetchEpoch_};
+    fetchBlock_ = FetchBlock{fetchPc_, itr.translation.paddr, bytes,
+                             fetchEpoch_};
     fetchInFlight_ = true;
     if (wrongPathMode_)
         wrongPathFetches_ += 1;
 
-    auto issue = [this, block] {
+    auto issue = [this] {
         auto *pkt = new mem::Packet(mem::MemCmd::ReadReq,
-                                    block->paddr, block->bytes);
+                                    fetchBlock_.paddr, fetchBlock_.bytes);
         pkt->setInstFetch(true);
         pkt->setRequestorId(cpuId());
-        pkt->setSenderState(block);
         icachePort_.sendTimingReq(pkt);
     };
     if (itr.latency > 0) {
@@ -443,20 +443,19 @@ void
 O3Cpu::recvInstResp(mem::PacketPtr pkt)
 {
     G5P_TRACE_SCOPE("O3Cpu::recvInstResp", CpuDetailed, true);
-    auto *block = static_cast<FetchBlock *>(pkt->senderState());
+    const FetchBlock block = fetchBlock_;
     delete pkt;
     fetchInFlight_ = false;
 
-    if (halted_ || fetchStopped_ || block->epoch != fetchEpoch_) {
-        delete block;
+    if (halted_ || fetchStopped_ || block.epoch != fetchEpoch_) {
         maybeReschedule();
         return;
     }
 
     Cycles ready = curCycle() + o3Params_.frontendDepth;
-    Addr vpc = block->vaddr;
-    Addr ppc = block->paddr;
-    Addr vend = block->vaddr + block->bytes;
+    Addr vpc = block.vaddr;
+    Addr ppc = block.paddr;
+    Addr vend = block.vaddr + block.bytes;
     Addr next_fetch = vend;
 
     while (vpc < vend) {
@@ -492,7 +491,6 @@ O3Cpu::recvInstResp(mem::PacketPtr pkt)
     }
 
     fetchPc_ = next_fetch;
-    delete block;
     maybeReschedule();
 }
 
@@ -511,8 +509,14 @@ O3Cpu::recvDataResp(mem::PacketPtr pkt)
 
     auto *holder = static_cast<DynInstPtr *>(pkt->senderState());
     delete pkt;
-    DynInstPtr di = *holder;
-    delete holder;
+    auto it = std::find_if(loadsInFlight_.begin(), loadsInFlight_.end(),
+                           [holder](const DynInstPtr &p) {
+                               return &p == holder;
+                           });
+    g5p_assert(it != loadsInFlight_.end(), "%s: stray load response",
+               name().c_str());
+    DynInstPtr di = std::move(*it);
+    loadsInFlight_.erase(it);
 
     if (halted_) {
         maybeReschedule();

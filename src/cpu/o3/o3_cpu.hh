@@ -12,6 +12,7 @@
 #define G5P_CPU_O3_O3_CPU_HH
 
 #include <deque>
+#include <list>
 
 #include "cpu/base_cpu.hh"
 #include "cpu/o3/bpred.hh"
@@ -122,6 +123,12 @@ class O3Cpu : public BaseCpu
     Addr fetchPc_;
     std::uint64_t fetchEpoch_ = 0;
     bool fetchInFlight_ = false;
+    /** The one in-flight fetch (valid while fetchInFlight_). Held by
+     *  value: a fetch still in flight at teardown leaks nothing. */
+    FetchBlock fetchBlock_{};
+    /** Loads sent to the dcache; each packet carries a pointer to its
+     *  entry. Owned here for the same reason. */
+    std::list<o3::DynInstPtr> loadsInFlight_;
     bool fetchStopped_ = false;
     std::uint64_t nextSeq_ = 1;
 

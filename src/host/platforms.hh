@@ -18,7 +18,8 @@
 namespace g5p::host
 {
 
-/** Complete description of one host machine (for one running core). */
+/** Complete description of one host machine (for one running core).
+ *  Every field enters core::runKey; a new field must be added there. */
 struct HostPlatformConfig
 {
     std::string name = "host";

@@ -84,6 +84,15 @@ unserializeResult(const sim::CheckpointIn &cp)
 bool
 ResultCache::lookup(const JobSpec &job, ServiceResult &out)
 {
+    std::string key;
+    try {
+        key = jobKey(job);
+    } catch (const ConfigError &) {
+        // A job that does not lower to a run config has no result to
+        // find; dispatching it lets the runner poison it.
+        ++stats_.misses;
+        return false;
+    }
     std::string path = entryPath(job);
     std::error_code ec;
     if (!fs::exists(path, ec)) {
@@ -106,9 +115,9 @@ ResultCache::lookup(const JobSpec &job, ServiceResult &out)
 
     try {
         cp.pushSection("entry");
-        std::string version, key;
+        std::string version, stored_key;
         cp.param("binaryVersion", version);
-        cp.param("jobKey", key);
+        cp.param("jobKey", stored_key);
         if (version != version_) {
             g5p_warn("cache: evicting stale entry %s "
                      "(built by '%s', this is '%s')",
@@ -118,7 +127,7 @@ ResultCache::lookup(const JobSpec &job, ServiceResult &out)
             ++stats_.misses;
             return false;
         }
-        if (key != jobKey(job)) {
+        if (stored_key != key) {
             // Digest collision: the full key is the authority.
             ++stats_.collisionMisses;
             ++stats_.misses;

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <sstream>
 
 #include "base/sim_error.hh"
 #include "host/platforms.hh"
@@ -306,15 +305,6 @@ asAxis(const JsonValue &v, const std::string &key, Conv conv)
     return out;
 }
 
-/** Bit-exact double rendering for the cache key. */
-std::string
-hexDouble(double d)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%a", d);
-    return buf;
-}
-
 } // namespace
 
 const JsonValue &
@@ -469,18 +459,9 @@ expandSweep(const SweepSpec &sweep)
 std::string
 jobKey(const JobSpec &job)
 {
-    std::ostringstream os;
-    os << "workload=" << job.workload
-       << " cpu=" << os::cpuModelName(job.cpuModel)
-       << " cores=" << job.cores
-       << " platform=" << job.platform
-       << " l2KB=" << job.l2KB
-       << " dramGBs=" << hexDouble(job.dramGBs)
-       << " scale=" << hexDouble(job.workloadScale)
-       << " maxInsts=" << job.maxGuestInsts
-       << " seed=" << job.seed
-       << " resume=" << (job.resume ? 1 : 0);
-    return os.str();
+    // The job kind is the one identity field outside RunConfig.
+    return core::runKey(toRunConfig(job)) +
+           (job.resume ? " resume=1" : " resume=0");
 }
 
 std::uint64_t

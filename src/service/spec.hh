@@ -9,9 +9,10 @@
  * spool queues, the executor runs, and the result cache keys.
  *
  * The cache key (jobKey/jobDigest) covers exactly the fields that
- * determine the result bytes — workload, model, cores, platform,
- * geometry overrides, scale, instruction limit, seed, and the job
- * kind (resumable guest-only vs full profile). Scheduling knobs
+ * determine the result bytes — core::runKey of the lowered run
+ * config (workload, model, cores, the full platform after geometry
+ * overrides, scale, instruction limit, seed) plus the job kind
+ * (resumable guest-only vs full profile). Scheduling knobs
  * (priority, wall cap, retry budget, chaos fields) deliberately do
  * NOT enter the key: re-running the same experiment under a
  * different retry policy must hit the same cache entry.
@@ -122,8 +123,9 @@ SweepSpec parseSweepSpec(const std::string &json);
  *  outermost, dramGBs innermost). */
 std::vector<JobSpec> expandSweep(const SweepSpec &sweep);
 
-/** Canonical identity text of a job (doubles as hex-floats so the
- *  key is bit-exact); scheduling fields excluded. */
+/** Canonical identity text of a job: core::runKey of its
+ *  toRunConfig() lowering plus the resume flag; scheduling fields
+ *  excluded. Throws ConfigError where toRunConfig does. */
 std::string jobKey(const JobSpec &job);
 
 /** FNV-1a digest of jobKey — the result-cache address. */

@@ -22,8 +22,9 @@
  * handler batching while pending (see EventQueue::batchingAllowed),
  * because the batching contract was audited only for in-tree
  * handlers. In-tree wrappers register via `registeredEventKind<D>()`
- * below and keep their `process()` override as the forced-virtual /
- * fallback body, which is what the determinism suite runs both ways.
+ * below and keep their `process()` override as the fallback body.
+ * The dispatch_* rows of tests/test_golden.cc pin that table
+ * dispatch services whole machines in the virtual path's order.
  *
  * Registration is process-global (`EventDispatch::global()`),
  * idempotent per handler, and bounded: 255 distinct kinds plus the

@@ -398,10 +398,10 @@ EventQueue::serviceTop()
     bool auto_delete = event->autoDelete();
     // The devirtualized service call: registered kinds index the
     // flat handler table (one predictable load + call); only
-    // fallback-kind events — out-of-tree subclasses — and queues in
-    // forced-virtual mode take the classic megamorphic virtual path.
+    // fallback-kind events — out-of-tree subclasses — take the
+    // classic megamorphic virtual path.
     const EventKind kind = event->kind_;
-    if (G5P_LIKELY(kind != fallbackKind && !forceVirtual_))
+    if (G5P_LIKELY(kind != fallbackKind))
         dispatch_->invoke(kind, *event);
     else
         event->process();

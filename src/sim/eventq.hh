@@ -19,12 +19,10 @@
  * (fallback) events take the classic virtual process() path. See
  * sim/event_dispatch.hh and DESIGN.md §"Event dispatch".
  *
- * Scheduling API: the one documented entry point is the
- * reference-taking family — schedule(Event &, Tick),
- * deschedule(Event &), reschedule(Event &, Tick) — plus
- * scheduleOneShot() for pooled fire-and-forget callbacks. The
- * historical pointer spellings remain as deprecated inline
- * forwarders.
+ * Scheduling API: the one entry point is the reference-taking
+ * family — schedule(Event &, Tick), deschedule(Event &),
+ * reschedule(Event &, Tick) — plus scheduleOneShot() for pooled
+ * fire-and-forget callbacks.
  */
 
 #ifndef G5P_SIM_EVENTQ_HH
@@ -86,8 +84,8 @@ class Event
 
     /** The event's action; runs with curTick == when(). Kind-tagged
      *  events normally dispatch through their registered handler
-     *  instead; process() remains the fallback/forced-virtual body
-     *  and must stay equivalent to the handler. */
+     *  instead; process() remains the fallback body and must stay
+     *  equivalent to the handler. */
     virtual void process() = 0;
 
     /** Diagnostic name. */
@@ -346,11 +344,10 @@ class EventQueue
      * Schedule @p event at absolute tick @p when (>= curTick).
      *
      * This is THE scheduling entry point: every other spelling —
-     * the deprecated pointer forwarders below, EventManager's
-     * helpers, scheduleOneShot() — funnels into this overload (and
-     * its deschedule/reschedule siblings), so service order,
-     * FIFO-tie behaviour and the transient/fallback accounting have
-     * exactly one implementation.
+     * EventManager's helpers, scheduleOneShot() — funnels into this
+     * overload (and its deschedule/reschedule siblings), so service
+     * order, FIFO-tie behaviour and the transient/fallback
+     * accounting have exactly one implementation.
      */
     G5P_HOT void schedule(Event &event, Tick when);
 
@@ -380,20 +377,6 @@ class EventQueue
         ev->setAutoDelete(true);
         schedule(*ev, when);
     }
-
-    /** @{ Deprecated pointer spellings; thin forwarders. */
-    [[deprecated("use schedule(Event &, Tick)")]]
-    void schedule(Event *event, Tick when) { schedule(*event, when); }
-
-    [[deprecated("use deschedule(Event &)")]]
-    void deschedule(Event *event) { deschedule(*event); }
-
-    [[deprecated("use reschedule(Event &, Tick)")]]
-    void reschedule(Event *event, Tick when)
-    {
-        reschedule(*event, when);
-    }
-    /** @} */
 
     /** True if no events remain (chains hang off in-heap heads, so
      *  an empty heap means nothing is chained either). */
@@ -471,16 +454,6 @@ class EventQueue
     void setBatchingAllowed(bool v) { batchingAllowed_ = v; }
     Tick serviceHorizon() const { return serviceHorizon_; }
     void setServiceHorizon(Tick t) { serviceHorizon_ = t; }
-    /** @} */
-
-    /**
-     * @{ Force every serviced event through virtual process(), as if
-     * no kind were registered. The determinism suite runs the same
-     * seed both ways and requires byte-identical stats; the bench
-     * uses it to isolate the dispatch-table win on the real queue.
-     */
-    bool forceVirtualDispatch() const { return forceVirtual_; }
-    void setForceVirtualDispatch(bool v) { forceVirtual_ = v; }
     /** @} */
 
     /** Pending fallback-kind (virtual-dispatch) events. */
@@ -618,9 +591,6 @@ class EventQueue
     Tick serviceHorizon_ = maxTick;
     /** @} */
 
-    /** Forced-virtual dispatch (see setForceVirtualDispatch). */
-    bool forceVirtual_ = false;
-
     /** Cached global dispatch table (avoids the function-local
      *  static guard in the service loop). */
     const EventDispatch *dispatch_;
@@ -683,16 +653,6 @@ class EventManager
     void
     scheduleOneShot(Tick when, std::function<void()> fn,
                     std::string name)
-    {
-        eventq_.scheduleOneShot(when, std::move(fn),
-                                std::move(name));
-    }
-
-    /** Deprecated spelling of scheduleOneShot. */
-    [[deprecated("use scheduleOneShot(Tick, fn, name)")]]
-    void
-    scheduleCallback(Tick when, std::function<void()> fn,
-                     std::string name)
     {
         eventq_.scheduleOneShot(when, std::move(fn),
                                 std::move(name));

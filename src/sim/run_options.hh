@@ -87,14 +87,6 @@ struct RunOptions
 
     /** Self-profiler knobs (see sim/profiler.hh). */
     ProfilerConfig profiler;
-
-    /**
-     * Service every event through virtual process() even when a
-     * dispatch-table kind is registered (see sim/event_dispatch.hh).
-     * The determinism suite and the frontend bench run the same seed
-     * with this flag flipped and require byte-identical stats.
-     */
-    bool forceVirtualDispatch = false;
 };
 
 } // namespace g5p::sim

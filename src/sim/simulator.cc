@@ -246,7 +246,6 @@ Simulator::configure(const RunOptions &options)
     applyAutoCheckpoint(options.autoCheckpointPeriod,
                         options.autoCheckpointPrefix);
     applyProfiler(options.profiler);
-    eventq_.setForceVirtualDispatch(options.forceVirtualDispatch);
 }
 
 void

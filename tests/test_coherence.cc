@@ -367,7 +367,14 @@ struct LitmusCase
 {
     std::size_t index; // into litmusTable()
     CpuModel model;
+    // gtest prints a parameter's raw bytes into the test name. An
+    // explicit zeroed tail instead of compiler padding (which gtest's
+    // copies leave holding heap garbage) keeps the names the same
+    // from run to run.
+    std::uint8_t zeroTail[sizeof(std::size_t) - sizeof(CpuModel)] = {};
 };
+static_assert(sizeof(LitmusCase) == 2 * sizeof(std::size_t),
+              "LitmusCase must have no padding bytes");
 
 class Litmus : public ::testing::TestWithParam<LitmusCase>
 {};

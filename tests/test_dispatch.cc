@@ -1,7 +1,7 @@
 /**
  * @file
  * PR 9 dispatch-table suite: the devirtualized event dispatch must be
- * an *observationally invisible* optimization. Three layers:
+ * an *observationally invisible* optimization. Two layers here:
  *
  *  - EventDispatch unit tests against a private table instance:
  *    dense kind assignment, per-handler idempotence, the same-name
@@ -14,31 +14,24 @@
  *    the refusal must lift the moment the last such event leaves the
  *    queue.
  *
- *  - Determinism: same seed, table dispatch vs. forced-virtual
- *    dispatch, byte-identical stats text (plus architectural outcome)
- *    for all four CPU models and for a 4-core Timing coherence
- *    stress. This is the "preserving bit-identical service order"
- *    half of the PR's acceptance bar.
+ * Whole-machine service order is pinned by the dispatch_* rows of
+ * tests/test_golden.cc: all four CPU models and a 4-core Timing
+ * coherence stress, recorded with every event serviced through
+ * virtual process().
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <functional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "base/sim_error.hh"
-#include "mem/mem_tester.hh"
-#include "os/system.hh"
 #include "sim/event_dispatch.hh"
 #include "sim/eventq.hh"
-#include "sim/simulator.hh"
 
 using namespace g5p;
-using namespace g5p::os;
 
 namespace
 {
@@ -220,157 +213,6 @@ TEST(DispatchBatching, ClearResetsFallbackCount)
     q.clear();
     EXPECT_EQ(q.numFallbackPending(), 0u);
     EXPECT_TRUE(q.batchingAllowed());
-}
-
-// ---------------------------------------------------------------
-// Determinism: table dispatch vs. forced-virtual, byte-identical.
-// ---------------------------------------------------------------
-
-class DispatchWorkload : public GuestWorkload
-{
-  public:
-    std::string name() const override { return "dispatch-mix"; }
-
-    void
-    emit(isa::Assembler &as, unsigned num_cpus,
-         SimMode mode) const override
-    {
-        using namespace g5p::isa;
-        // Arithmetic + aliasing stores + data-dependent branches:
-        // enough event traffic (fetch, cache, writeback) that a
-        // service-order difference between dispatch modes would
-        // surface in the stats within a few thousand instructions.
-        as.label("_start");
-        as.li(RegS1, 0);
-        as.li(RegS0, 0);
-        as.li(RegT3, 600);
-        as.li(RegT2, 0x300000);
-        as.label("loop");
-        as.mul(RegT0, RegS0, RegS0);
-        as.xor_(RegT0, RegT0, RegS1);
-        as.andi(RegT1, RegS0, 63);
-        as.slli(RegT1, RegT1, 3);
-        as.add(RegT1, RegT1, RegT2);
-        as.sd(RegT0, RegT1, 0);
-        as.ld(RegT0, RegT1, 0);
-        as.andi(RegT4, RegS0, 1);
-        as.beq(RegT4, RegZero, "even");
-        as.add(RegS1, RegS1, RegT0);
-        as.j("next");
-        as.label("even");
-        as.sub(RegS1, RegS1, RegT0);
-        as.label("next");
-        as.addi(RegS0, RegS0, 1);
-        as.blt(RegS0, RegT3, "loop");
-        as.li(RegT0, (std::int64_t)GuestWorkload::resultAddr);
-        as.sd(RegS1, RegT0, 0);
-        as.halt();
-    }
-};
-
-/** Everything an observer could see: stats text + arch outcome. */
-struct RunFingerprint
-{
-    std::string stats;
-    std::uint64_t result = 0;
-    std::uint64_t insts = 0;
-    std::uint64_t memDigest = 0;
-    std::string console;
-
-    bool
-    operator==(const RunFingerprint &o) const
-    {
-        return stats == o.stats && result == o.result &&
-               insts == o.insts && memDigest == o.memDigest &&
-               console == o.console;
-    }
-};
-
-RunFingerprint
-runSystem(CpuModel model, bool force_virtual)
-{
-    DispatchWorkload wl;
-    sim::Simulator sim("system");
-    SystemConfig cfg;
-    cfg.cpuModel = model;
-    System system(sim, cfg, wl);
-
-    sim::RunOptions opts;
-    opts.forceVirtualDispatch = force_virtual;
-    auto res = system.run(opts, 5'000'000'000'000ULL);
-    EXPECT_EQ(res.cause, sim::ExitCause::Finished)
-        << cpuModelName(model)
-        << (force_virtual ? " (virtual)" : " (table)");
-
-    RunFingerprint fp;
-    std::ostringstream os;
-    sim.dumpStats(os);
-    fp.stats = os.str();
-    fp.result = system.result();
-    fp.insts = system.totalInsts();
-    fp.memDigest = system.physmem().contentDigest();
-    fp.console = system.process().emulator().consoleOutput();
-    return fp;
-}
-
-class DispatchDeterminism : public ::testing::TestWithParam<CpuModel>
-{};
-
-TEST_P(DispatchDeterminism, TableMatchesVirtualBitIdentically)
-{
-    RunFingerprint table = runSystem(GetParam(), false);
-    RunFingerprint virt = runSystem(GetParam(), true);
-    // Stats text first: it subsumes event counts, tick totals, cache
-    // traffic — any service-order skew shows up here as a diff.
-    EXPECT_EQ(table.stats, virt.stats) << cpuModelName(GetParam());
-    EXPECT_TRUE(table == virt) << cpuModelName(GetParam());
-    EXPECT_FALSE(table.stats.empty());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Models, DispatchDeterminism,
-    ::testing::Values(CpuModel::Atomic, CpuModel::Timing,
-                      CpuModel::Minor, CpuModel::O3),
-    [](const auto &info) {
-        return std::string(cpuModelName(info.param));
-    });
-
-// ---------------------------------------------------------------
-// 4-core Timing coherence stress, both dispatch modes.
-// ---------------------------------------------------------------
-
-std::string
-runCoherenceStress(bool force_virtual)
-{
-    sim::Simulator sim("tester");
-    mem::MemTesterParams p;
-    p.numCores = 4;
-    p.seed = 7;
-    p.opsPerCore = 400;
-    p.atomicMode = false;
-    mem::MemTester tester(sim, "mt", p);
-
-    sim::RunOptions opts;
-    opts.forceVirtualDispatch = force_virtual;
-    sim.configure(opts);
-    sim::SimResult res = sim.run();
-    EXPECT_EQ(res.cause, sim::ExitCause::Finished)
-        << sim::exitCauseName(res.cause) << "\n"
-        << sim.diagnosticDump();
-    EXPECT_TRUE(tester.allDone());
-    EXPECT_TRUE(tester.violations().empty());
-
-    std::ostringstream os;
-    sim.dumpStats(os);
-    return os.str();
-}
-
-TEST(DispatchDeterminismMulti, FourCoreTimingStressMatches)
-{
-    std::string table = runCoherenceStress(false);
-    std::string virt = runCoherenceStress(true);
-    EXPECT_FALSE(table.empty());
-    EXPECT_EQ(table, virt);
 }
 
 } // namespace

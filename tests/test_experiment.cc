@@ -195,3 +195,26 @@ TEST(Experiment, EffectivePlatformAppliesOverrides)
     EXPECT_LT(platform.icache.sizeBytes,
               cfg.platform.icache.sizeBytes);
 }
+
+TEST(Experiment, RunKeyCoversPlatformAndMachineFields)
+{
+    RunConfig base = baseConfig();
+    auto differs = [&](auto mutate) {
+        RunConfig m = base;
+        mutate(m);
+        return runKey(m) != runKey(base);
+    };
+    EXPECT_EQ(runKey(base), runKey(baseConfig()));
+    // Sweeps that change only a platform field or the guest machine
+    // must not collapse onto one cached run.
+    EXPECT_TRUE(differs([](RunConfig &c) { c.platform.dsb.windows = 128; }));
+    EXPECT_TRUE(differs([](RunConfig &c) { c.platform.pageBits = 14; }));
+    EXPECT_TRUE(differs([](RunConfig &c) { c.guestCpus = 2; }));
+    EXPECT_TRUE(differs([](RunConfig &c) { c.fastForwardInsts = 100; }));
+    EXPECT_TRUE(differs([](RunConfig &c) { c.tuning.hotLayout = true; }));
+    EXPECT_TRUE(differs(
+        [](RunConfig &c) { c.platform.miteUopsPerCycle += 1e-9; }));
+    // Run control and delivery granularity leave the result alone.
+    EXPECT_FALSE(differs([](RunConfig &c) { c.sinkBatchOps = 1; }));
+    EXPECT_FALSE(differs([](RunConfig &c) { c.run.supervise = true; }));
+}

@@ -26,8 +26,7 @@ if [ "$#" -gt 0 ]; then
 else
     # Default training: the frontend microbench exercises the
     # service loop; the example exercises a full profiled run.
-    ./build-pgo/bench/abl_frontend --json /tmp/g5p_pgo_train.json \
-        --no-gates
+    ./build-pgo/bench/abl_frontend --json /tmp/g5p_pgo_train.json
     if [ -x ./build-pgo/examples/profile_simulation ]; then
         ./build-pgo/examples/profile_simulation >/dev/null
     fi

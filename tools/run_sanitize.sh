@@ -24,10 +24,9 @@ cmake --preset sanitize
 echo "== build (-j ${jobs}) =="
 cmake --build --preset sanitize -j "$jobs"
 
-# The sanitize test preset sets ASAN_OPTIONS=detect_leaks=0 (events
-# in flight at simulator teardown are reclaimed by the pool, not
-# freed individually) and UBSAN halt_on_error so any UB fails the
-# run loudly.
+# The sanitize test preset sets ASAN_OPTIONS=detect_leaks=1, so a
+# heap block still unreachable at exit fails its test, and UBSAN
+# halt_on_error so any UB fails the run loudly.
 echo "== ctest (preset: sanitize) =="
 ctest --preset sanitize "$@"
 
@@ -80,28 +79,23 @@ fi
 # with intrusive free-listing, and the snoop filter/MSHR index do
 # open addressing with backward-shift deletion — manual memory
 # management stacked three deep, i.e. exactly what ASan/UBSan are
-# for. The pool-vs-heap identity matrix runs every packet lifetime
-# twice (pooled and malloc'd), and the quick bench gate runs both
-# the optimized and the embedded pre-PR reference paths under
-# sanitizers (speed gates demote to report-only; the byte-identity
-# checks still must pass).
+# for. The memory-path golden rows (Timing 1c/4c MESI, O3 1c,
+# Minor 1c/4c MESI) run whole machines sanitized and must still
+# match their fixtures byte for byte.
 if [ "$#" -gt 0 ]; then
     echo "== ctest timing memory-path suite (preset: sanitize) =="
-    ctest --preset sanitize -R '^(AddrTable|PacketPool|PoolVsHeap|PooledCheckpoint|PoolDrain|TimingMemPathQuick)'
+    ctest --preset sanitize -R '^(AddrTable|PacketPool|PooledCheckpoint|PoolDrain)|GoldenRun.*/(timing_|o3_1c|minor_)'
 fi
 
 # Dispatch pass: the PR 9 kind table is read through relaxed atomics
 # on the hottest path in the tree, the event kind byte lives in tail
 # padding, and the THP arenas hand out mmap-backed slabs that the
 # event pool and decode cache carve up manually — all prime ASan/
-# UBSan territory. The determinism suite also forces the virtual
-# path, so both dispatch branches run sanitized. (The wall-clock
-# FrontendDispatchGate demotes its speed gates to report-only under
-# sanitizers — instrumentation erases the layout effect — but still
-# checks service-order digests and writes its JSON.)
+# UBSan territory. The dispatch golden rows run all four CPU models
+# and a 4-core coherence stress through the table sanitized.
 if [ "$#" -gt 0 ]; then
     echo "== ctest dispatch suite (preset: sanitize) =="
-    ctest --preset sanitize -R '^(EventDispatchTable|DispatchBatching|DispatchDeterminismMulti|FrontendDispatchGate)|Dispatch'
+    ctest --preset sanitize -R '^(EventDispatchTable|DispatchBatching)|GoldenRun.*/dispatch_'
 fi
 
 # Sweep-service pass: the chaos suite walks the crash/retry/eviction
@@ -146,5 +140,5 @@ if [ "${G5P_SKIP_TSAN:-0}" != "1" ]; then
     # The timing-path suites join because the packet pool and THP
     # arenas are thread-local by design — TSan proves no state leaks
     # across the pool threads that run whole simulations.
-    ctest --preset tsan -R '^(Parallel|Checkpoint|Sampling|Coherence|Service)|Dispatch|Pool|MemPath'
+    ctest --preset tsan -R '^(Parallel|Checkpoint|Sampling|Coherence|Service|EventDispatchTable|DispatchBatching)|Pool'
 fi
