@@ -1,24 +1,22 @@
 /**
  * @file
- * Front-end bench for the devirtualized event dispatch and hot/cold
- * text layout, measured both ways the paper measures gem5:
+ * Front-end bench for the event-service loop and hot/cold text
+ * layout, measured both ways the paper measures gem5:
  *
  *  1. Service order and speed. Three scenarios (mixed-kind tick
  *     storm, same-tick burst drain, transient response storm) run on
  *     the real EventQueue with fixed seeds. Each folds every serviced
  *     event into an order-sensitive digest, which must equal the
- *     constant pinned below: the digests the pre-dispatch-table
- *     queue (every event through virtual process(), no layout
- *     annotations) produced for the same scenarios. Host ns per
- *     serviced event is reported, not gated.
+ *     constant pinned below: the digests a plain virtual-process()
+ *     queue with no layout annotations produced for the same
+ *     scenarios. Host ns per serviced event is reported, not gated.
  *
- *  2. Modeled Top-Down. The hostsim pipeline marks event-entry trace
- *     scopes virtual or direct via sim::modeledDispatchVirtual();
- *     running the same profiled simulation with the flag on
- *     (gem5-faithful "before") and off (table-dispatch "after") must
- *     show front-end-bound% dropping, the fig. 2/3-style evidence
- *     that the optimization attacks the bottleneck the paper
- *     diagnosed rather than some accidental slack.
+ *  2. Modeled Top-Down. The same profiled simulation runs on the
+ *     stock text layout ("before") and on the hot/cold split with
+ *     THP-backed text ("after"); event entries are virtual in both.
+ *     Front-end-bound% must drop, the fig. 2/3-style evidence that
+ *     the layout work attacks the bottleneck the paper diagnosed
+ *     rather than some accidental slack.
  *
  * Both checks are deterministic. Writes BENCH_frontend.json.
  * Options: --json <path>, --quick, --reps <n>.
@@ -35,9 +33,7 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "sim/event_dispatch.hh"
 #include "sim/eventq.hh"
-#include "trace/recorder.hh"
 
 using namespace g5p;
 
@@ -111,20 +107,16 @@ class StormEvent : public sim::Event
     StormEvent(sim::EventQueue &eq, StormState st)
         : eq_(eq), st_(st)
     {
-        setKind(sim::registeredEventKind<StormEvent>(
-            __PRETTY_FUNCTION__));
     }
 
     void
-    invoke()
+    process() override
     {
         st_.digest->fold(st_.token + K, eq_.curTick());
         if (--st_.firesLeft > 0)
             eq_.schedule(*this, eq_.curTick() + 1 +
                          st_.lcg.next() % 1000);
     }
-
-    void process() override { invoke(); }
 
   private:
     sim::EventQueue &eq_;
@@ -156,12 +148,9 @@ class BurstEvent : public sim::Event
     BurstEvent(sim::EventQueue &eq, Digest &digest)
         : eq_(eq), digest_(digest)
     {
-        setKind(sim::registeredEventKind<BurstEvent>(
-            __PRETTY_FUNCTION__));
     }
 
-    void invoke() { digest_.fold(K * 131 + 7, eq_.curTick()); }
-    void process() override { invoke(); }
+    void process() override { digest_.fold(K * 131 + 7, eq_.curTick()); }
 
   private:
     sim::EventQueue &eq_;
@@ -195,7 +184,7 @@ runBurst(const ScenarioParams &p, Digest &digest)
  * self-reschedule and, per fire, launch one pooled auto-delete
  * response a few ticks out, so the queue stays ~drivers + in-flight
  * responses deep and service alternates kinds, exactly the mix the
- * dispatch table sees in a real run.
+ * service loop's process() call sees in a real run.
  */
 struct DriverState
 {
@@ -211,12 +200,10 @@ class DriverEvent : public sim::Event
     DriverEvent(sim::EventQueue &eq, DriverState st)
         : eq_(eq), st_(st)
     {
-        setKind(sim::registeredEventKind<DriverEvent>(
-            __PRETTY_FUNCTION__));
     }
 
     void
-    invoke()
+    process() override
     {
         st_.digest->fold(100 + K, eq_.curTick());
         if (*st_.budget <= 0)
@@ -232,8 +219,6 @@ class DriverEvent : public sim::Event
                             "resp");
         eq_.schedule(*this, eq_.curTick() + 2 + st_.lcg.next() % 40);
     }
-
-    void process() override { invoke(); }
 
   private:
     sim::EventQueue &eq_;
@@ -277,7 +262,7 @@ struct Scenario
 {
     const char *name;
     std::uint64_t (*run)(const ScenarioParams &, Digest &);
-    /** Recorded from the pre-dispatch-table virtual queue. */
+    /** Recorded from a plain virtual-process() queue. */
     Order full;
     Order quick;
 };
@@ -345,7 +330,7 @@ main(int argc, char **argv)
     // One warm-up run primes pools, page tables and branch history;
     // min-of-reps rejects scheduler noise. Digests are deterministic,
     // so every rep must produce the same one.
-    std::printf("# abl_frontend: dispatch-table EventQueue "
+    std::printf("# abl_frontend: EventQueue service loop "
                 "(min of %d reps)\n", reps);
     std::printf("%-26s %10s %12s %7s\n", "scenario", "events",
                 "ns/op", "order");
@@ -380,11 +365,10 @@ main(int argc, char **argv)
                                                  : "no (fallback)");
 
     // ------------------------------------------------------------
-    // Modeled Top-Down: before (virtual event entries, stock text
-    // layout) vs after (table entries plus the hot/cold split and
-    // order file, THP-backed text), same profiled simulation. The
-    // dispatch flag kills the megamorphic-site resteers, hotLayout
-    // densifies the fetched text, and thpCode backs the packed hot
+    // Modeled Top-Down: before (stock text layout) vs after (the
+    // hot/cold split and order file, THP-backed text), same profiled
+    // simulation with virtual event entries in both legs. hotLayout
+    // densifies the fetched text and thpCode backs the packed hot
     // pages with huge pages — the icache/iTLB share of front-end
     // bound.
     // ------------------------------------------------------------
@@ -396,32 +380,26 @@ main(int argc, char **argv)
     cfg.maxGuestInsts = quick ? 4000 : 12000;
 
     std::fprintf(stderr, "  running modeled Top-Down legs ...\n");
-    sim::setModeledDispatchVirtual(true);
-    trace::FuncRegistry::instance().resetForTest();
     core::RunResult before = core::runProfiledSimulation(cfg);
-    trace::FuncRegistry::instance().resetForTest();
-    sim::setModeledDispatchVirtual(false);
     cfg.tuning.hotLayout = true;
     cfg.tuning.thpCode = true;
     core::RunResult after = core::runProfiledSimulation(cfg);
-    sim::setModeledDispatchVirtual(true);
-    trace::FuncRegistry::instance().resetForTest();
 
     double fe_before = before.topdown.frontendBound();
     double fe_after = after.topdown.frontendBound();
     core::printBanner(std::cout,
-        "Modeled Top-Down: O3/water_nsquared, virtual vs table "
-        "event entry");
+        "Modeled Top-Down: O3/water_nsquared, stock vs hot "
+        "layout + THP text");
     {
         core::Table table({"leg", "retiring", "bad spec", "FE bound",
                            "BE bound"});
-        table.addRow({"before (virtual)",
+        table.addRow({"before (stock layout)",
                       fmtPercent(before.topdown.retiring),
                       fmtPercent(
                           before.topdown.badSpeculation),
                       fmtPercent(fe_before),
                       fmtPercent(before.topdown.backendBound)});
-        table.addRow({"after (table+hot layout)",
+        table.addRow({"after (hot layout+THP)",
                       fmtPercent(after.topdown.retiring),
                       fmtPercent(after.topdown.badSpeculation),
                       fmtPercent(fe_after),
@@ -443,7 +421,7 @@ main(int argc, char **argv)
                                   : scenarios[i].full;
         char buf[256];
         std::snprintf(buf, sizeof buf,
-                      "    {\"name\": \"%s\", \"table_ns_per_op\": "
+                      "    {\"name\": \"%s\", \"ns_per_op\": "
                       "%.3f, \"order_match\": %s}%s\n",
                       scenarios[i].name,
                       m.ns / (double)m.order.serviced,
@@ -476,7 +454,7 @@ main(int argc, char **argv)
     int failures = 0;
     if (!orders_ok) {
         std::printf("FAIL: service-order digests diverge from the "
-                    "pinned virtual-dispatch order\n");
+                    "pinned service order\n");
         ++failures;
     }
     if (fe_after >= fe_before) {

@@ -17,9 +17,7 @@
  * (the pre-batching path, what HostInstSink shims still do) versus
  * one ops() call per 4096-instruction span. This measures the sink
  * boundary itself; both deliveries must produce bit-identical
- * counters. End-to-end wall clock for full runs under each contract
- * is also reported (there the guest simulator and synthesizer,
- * identical in both, dilute the delivery difference).
+ * counters.
  *
  * Writes BENCH_parallel.json. Gates: batched delivery >= 1.15x the
  * per-op sink throughput, and (only when the host has >= 4 hardware
@@ -318,26 +316,6 @@ main(int argc, char **argv)
                 ops_m / batched_s, batch_speedup,
                 batch_identical ? "yes" : "NO");
 
-    // End-to-end context: the same contract difference inside full
-    // runs, where the (identical) guest simulator and synthesizer
-    // dominate. Reported, not gated.
-    auto best_run = [](RunConfig cfg, int reps) {
-        double best = 1e30;
-        for (int r = 0; r < reps; ++r) {
-            auto start = std::chrono::steady_clock::now();
-            runProfiledSimulation(cfg);
-            best = std::min(best, secondsSince(start));
-        }
-        return best;
-    };
-    double run_batched_s = best_run(single, 3);
-    RunConfig per_op_cfg = single;
-    per_op_cfg.sinkBatchOps = 1;
-    double run_per_op_s = best_run(per_op_cfg, 3);
-    std::printf("%-28s %10.3f %10s %9.2fx  (reported only)\n",
-                "full run, per-op vs batch", run_batched_s, "-",
-                run_per_op_s / run_batched_s);
-
     // ----------------------------------------------------------
     // Gates first (so the JSON can record their status), then JSON.
     // Every gate is recorded whether it applies or not: a gate that
@@ -415,10 +393,6 @@ main(int argc, char **argv)
          << "  \"batched_speedup\": " << batch_speedup << ",\n"
          << "  \"batched_identical\": "
          << (batch_identical ? "true" : "false") << ",\n"
-         << "  \"full_run_batched_seconds\": " << run_batched_s
-         << ",\n"
-         << "  \"full_run_per_op_seconds\": " << run_per_op_s
-         << ",\n"
          << "  \"gates\": [\n";
     for (std::size_t i = 0; i < gates.size(); ++i) {
         const Gate &g = gates[i];

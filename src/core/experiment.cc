@@ -192,8 +192,6 @@ runProfiledSimulation(const RunConfig &config)
     host::HostCore core(platform, policy);
     trace::Synthesizer synth(layout, core, config.seed,
                              config.tuning.optO3 ? o3WorkScale : 1.0);
-    if (config.sinkBatchOps)
-        synth.setBatchOps(config.sinkBatchOps);
     FuncProfile profile;
 
     trace::Recorder recorder;

@@ -40,9 +40,9 @@ struct TuningConfig
      * file (the G5P_HOT_LAYOUT build of mg5 itself): cold paths move
      * out of the fall-through text and tools/hot_order.txt packs the
      * survivors, so the same executed bytes land on far fewer lines
-     * and pages. Models the layout half of the PR 9 front-end work;
-     * pair with sim::setModeledDispatchVirtual(false) for the full
-     * before/after story (bench/abl_frontend does exactly that).
+     * and pages. Models the layout half of mg5's own front-end
+     * work; bench/abl_frontend compares it, with thpCode, against
+     * the stock layout.
      */
     bool hotLayout = false;
 
@@ -76,15 +76,6 @@ struct RunConfig
     TuningConfig tuning;
 
     std::uint64_t seed = 1;
-
-    /**
-     * Trace->host delivery granularity: host instructions buffered
-     * per batched sink call. 0 selects the synthesizer default
-     * (trace::Synthesizer::defaultBatchOps); 1 forces the unbatched
-     * per-op virtual path (the batching ablation). Either setting
-     * produces bit-identical counters.
-     */
-    std::size_t sinkBatchOps = 0;
 
     /** Run-control knobs (watchdog, auto-checkpoint, fault seed,
      *  owned profiler) applied to the run's Simulator. */
@@ -164,10 +155,9 @@ RunResult runProfiledSimulation(const RunConfig &config);
  * a run's result — workload, model, mode, guest CPUs, scale,
  * instruction limits, fast-forward, seed, co-run scenario, tuning
  * and every HostPlatformConfig field (doubles as hex-floats, so the
- * key is bit-exact). Run control (config.run, profiler) and
- * sinkBatchOps (bit-identical either way) stay out. Two configs
- * with equal keys produce identical results; the bench run cache
- * and the sweep service's result cache both key on it.
+ * key is bit-exact). Run control (config.run, profiler) stays out.
+ * Two configs with equal keys produce identical results; the bench
+ * run cache and the sweep service's result cache both key on it.
  */
 std::string runKey(const RunConfig &config);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "sim/event_dispatch.hh"
 #include "trace/recorder.hh"
 
 namespace g5p::cpu
@@ -61,8 +60,7 @@ MinorCpu::tick()
     if (waiting) {
         fetchBubbles_ += 1;
     } else {
-        G5P_TRACE_SCOPE("MinorCpu::tick", CpuDetailed,
-                        ::g5p::sim::modeledDispatchVirtual());
+        G5P_TRACE_SCOPE("MinorCpu::tick", CpuDetailed, true);
         tryExecute();
         tryFetch();
     }

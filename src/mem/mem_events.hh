@@ -8,9 +8,8 @@
  * std::function capture, plus a freshly concatenated name string per
  * hop ("cpu0.icache.delayed" is past the SSO limit, so the busiest
  * allocation site on the whole detailed path was a *label*). The
- * typed events below replace that with plain members and a
- * registered dispatch kind; the name is built only when diagnostics
- * ask for it.
+ * typed events below replace that with plain members; the name is
+ * built only when diagnostics ask for it.
  *
  * Ownership: each event owns its packet from construction until the
  * moment it fires (take() hands the packet to the port/handler). An
@@ -41,7 +40,7 @@ namespace g5p::mem
 
 /**
  * Base: a pool-allocated, auto-delete event owning one packet until
- * it fires. Subclasses call take() exactly once, in invoke().
+ * it fires. Subclasses call take() exactly once, in process().
  */
 class PooledPacketEvent : public sim::Event
 {
@@ -97,13 +96,10 @@ class PacketRespEvent final : public PooledPacketEvent
         : PooledPacketEvent(pkt), port_(port),
           makeResponse_(make_response)
     {
-        setKind(sim::registeredEventKind<PacketRespEvent>(
-            "mem::PacketRespEvent"));
     }
 
-    /** Devirtualized body (dispatch-table target). */
     G5P_HOT void
-    invoke()
+    process() override
     {
         PacketPtr pkt = take();
         if (makeResponse_)
@@ -111,7 +107,6 @@ class PacketRespEvent final : public PooledPacketEvent
         port_.sendTimingResp(pkt);
     }
 
-    void process() override { invoke(); }
     std::string name() const override { return port_.name() + ".resp"; }
 
   private:
@@ -132,20 +127,16 @@ class PacketReqEvent final : public PooledPacketEvent
         : PooledPacketEvent(pkt), port_(port),
           writable_(pkt->writable())
     {
-        setKind(sim::registeredEventKind<PacketReqEvent>(
-            "mem::PacketReqEvent"));
     }
 
-    /** Devirtualized body (dispatch-table target). */
     G5P_HOT void
-    invoke()
+    process() override
     {
         PacketPtr pkt = take();
         pkt->setWritable(writable_);
         port_.sendTimingReq(pkt);
     }
 
-    void process() override { invoke(); }
     std::string name() const override { return port_.name() + ".req"; }
 
   private:
@@ -165,13 +156,10 @@ class PacketDeliverEvent final : public PooledPacketEvent
     PacketDeliverEvent(RequestPort &port, PacketPtr pkt)
         : PooledPacketEvent(pkt), port_(port)
     {
-        setKind(sim::registeredEventKind<PacketDeliverEvent>(
-            "mem::PacketDeliverEvent"));
     }
 
-    void invoke() { port_.recvTimingResp(take()); }
+    void process() override { port_.recvTimingResp(take()); }
 
-    void process() override { invoke(); }
     std::string
     name() const override
     {
@@ -185,8 +173,6 @@ class PacketDeliverEvent final : public PooledPacketEvent
 /**
  * Hand the packet to a member function of its owner after a delay —
  * the cache's post-tag-lookup continuation and deferred-queue retry.
- * Each instantiation registers its own dispatch kind, like
- * MemberEventWrapper.
  */
 template <auto F>
 class PacketMemberEvent;
@@ -198,23 +184,11 @@ class PacketMemberEvent<F> final : public PooledPacketEvent
     PacketMemberEvent(T &owner, PacketPtr pkt)
         : PooledPacketEvent(pkt), owner_(owner)
     {
-        setKind(sim::registeredEventKind<PacketMemberEvent>(
-            kindLabel()));
     }
 
-    /** Devirtualized body (dispatch-table target). */
-    G5P_HOT void invoke() { (owner_.*F)(take()); }
-
-    void process() override { invoke(); }
+    G5P_HOT void process() override { (owner_.*F)(take()); }
 
   private:
-    /** Unique per-instantiation kind name (embeds T and F). */
-    static const char *
-    kindLabel()
-    {
-        return __PRETTY_FUNCTION__;
-    }
-
     T &owner_;
 };
 

@@ -132,13 +132,13 @@ EventPool::usingHugePages()
 static_assert(sizeof(EventFunctionWrapper) <= EventPool::blockSize,
               "EventFunctionWrapper must fit an EventPool block");
 
-// The dispatch kind shares the tail-padding word; devirtualization
-// must not grow events.
+// Events are embedded in every SimObject and pooled at simulation-
+// event rate: the profiler key, priority and auto-delete flag share
+// one tail word, so the header stays at seven words.
 static_assert(sizeof(Event) == 7 * sizeof(void *),
-              "Event::kind_ must live in tail padding");
+              "Event must stay seven words");
 
-EventQueue::EventQueue(std::string name)
-    : name_(std::move(name)), dispatch_(&EventDispatch::global())
+EventQueue::EventQueue(std::string name) : name_(std::move(name))
 {
 }
 
@@ -228,8 +228,6 @@ EventQueue::schedule(Event &event, Tick when)
     ++numScheduled_;
     if (event.autoDelete_)
         ++transientScheduled_;
-    if (G5P_UNLIKELY(event.kind_ == fallbackKind))
-        ++fallbackScheduled_;
 }
 
 void
@@ -269,8 +267,6 @@ EventQueue::deschedule(Event &event)
     forgetMemo(&event);
     if (event.autoDelete_)
         --transientScheduled_;
-    if (G5P_UNLIKELY(event.kind_ == fallbackKind))
-        --fallbackScheduled_;
     if (event.heapIndex_ == Event::chainedIndex) {
         unlinkChained(&event);
         return;
@@ -342,8 +338,6 @@ EventQueue::popTop()
     Event *top = heap_.front().event;
     if (top->autoDelete_)
         --transientScheduled_;
-    if (G5P_UNLIKELY(top->kind_ == fallbackKind))
-        --fallbackScheduled_;
     top->heapIndex_ = Event::invalidIndex;
     forgetMemo(top);
     if (top->chainNext_) {
@@ -396,15 +390,7 @@ EventQueue::serviceTop()
     ++numServiced_;
 
     bool auto_delete = event->autoDelete();
-    // The devirtualized service call: registered kinds index the
-    // flat handler table (one predictable load + call); only
-    // fallback-kind events — out-of-tree subclasses — take the
-    // classic megamorphic virtual path.
-    const EventKind kind = event->kind_;
-    if (G5P_LIKELY(kind != fallbackKind))
-        dispatch_->invoke(kind, *event);
-    else
-        event->process();
+    event->process();
     if (profiler_)
         profiler_->endService();
     if (auto_delete && !event->scheduled())
@@ -602,7 +588,6 @@ EventQueue::clear()
     heap_.clear();
     chainedCount_ = 0;
     transientScheduled_ = 0;
-    fallbackScheduled_ = 0;
     lastScheduled_ = nullptr;
 }
 

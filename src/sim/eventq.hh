@@ -13,11 +13,9 @@
  * place (no lazy dead entries, no per-pop hash lookups, no compaction
  * stalls). See DESIGN.md §"Event queue internals".
  *
- * Dispatch: servicing an event no longer means a megamorphic virtual
- * call. Events carry an EventKind byte; registered kinds dispatch
- * through EventDispatch's flat handler table, and only kind-0
- * (fallback) events take the classic virtual process() path. See
- * sim/event_dispatch.hh and DESIGN.md §"Event dispatch".
+ * Dispatch: every event is serviced through one virtual process()
+ * call, as in gem5. See DESIGN.md §"Event dispatch" for why mg5 keeps
+ * it that way.
  *
  * Scheduling API: the one entry point is the reference-taking
  * family — schedule(Event &, Tick), deschedule(Event &),
@@ -39,7 +37,6 @@
 #include "base/compiler.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
-#include "sim/event_dispatch.hh"
 #include "trace/recorder.hh"
 
 namespace g5p::sim
@@ -54,11 +51,6 @@ class Profiler;
  * Abstract scheduled event. Subclasses implement process(). Events do
  * not own their memory unless flags say so; the common pattern (as in
  * gem5) is an event member inside the owning SimObject.
- *
- * In-tree event classes also register a non-virtual handler (see
- * registeredEventKind) and adopt its kind via setKind(); subclasses
- * that don't are serviced through virtual process() — the fallback
- * contract that keeps out-of-tree events working unchanged.
  */
 class Event
 {
@@ -82,10 +74,7 @@ class Event
     Event(const Event &) = delete;
     Event &operator=(const Event &) = delete;
 
-    /** The event's action; runs with curTick == when(). Kind-tagged
-     *  events normally dispatch through their registered handler
-     *  instead; process() remains the fallback body and must stay
-     *  equivalent to the handler. */
+    /** The event's action; runs with curTick == when(). */
     virtual void process() = 0;
 
     /** Diagnostic name. */
@@ -100,9 +89,6 @@ class Event
     /** True while on a queue. */
     bool scheduled() const { return heapIndex_ != invalidIndex; }
 
-    /** Dispatch-table kind (fallbackKind = virtual path). */
-    EventKind kind() const { return kind_; }
-
     /** If set, the queue deletes the event after process(). Must not
      *  change while scheduled (the queue counts transient events). */
     void
@@ -115,20 +101,6 @@ class Event
 
     /** @see setAutoDelete */
     bool autoDelete() const { return autoDelete_; }
-
-  protected:
-    /**
-     * Adopt a registered dispatch kind (constructors of in-tree
-     * event classes call this with their registeredEventKind). Must
-     * not change while scheduled: the queue counts pending
-     * fallback-kind events for the batching contract.
-     */
-    void
-    setKind(EventKind kind)
-    {
-        g5p_assert(!scheduled(), "setKind on a scheduled event");
-        kind_ = kind;
-    }
 
   private:
     friend class EventQueue;
@@ -155,9 +127,6 @@ class Event
     std::uint32_t profKey_ = 0;
     std::int16_t priority_;
     bool autoDelete_ = false;
-    /** Dispatch kind; shares the tail-padding word with profKey_,
-     *  so devirtualization costs no event bytes either. */
-    EventKind kind_ = fallbackKind;
 };
 
 /**
@@ -212,8 +181,6 @@ class EventFunctionWrapper : public Event
         : Event(prio), callback_(std::move(callback)),
           name_(std::move(name))
     {
-        setKind(registeredEventKind<EventFunctionWrapper>(
-            "EventFunctionWrapper"));
     }
 
     /** Dynamic wrappers recycle through the event pool. */
@@ -229,10 +196,7 @@ class EventFunctionWrapper : public Event
         EventPool::deallocate(p, size);
     }
 
-    /** Devirtualized body (dispatch-table target). */
-    void invoke() { callback_(); }
-
-    void process() override { invoke(); }
+    void process() override { callback_(); }
     std::string name() const override { return name_; }
 
   private:
@@ -251,10 +215,6 @@ class EventFunctionWrapper : public Event
  * Passing a name ("cpu0.tick") keeps the no-std::function layout but
  * gives the profiler and diagnostics a real label; the "owner.type"
  * convention is what wall-clock attribution splits on.
- *
- * Each instantiation registers its own dispatch kind, so servicing a
- * tick event compiles down to one table-indexed call that the
- * optimizer can devirtualize into a direct call to T::F.
  */
 template <auto F>
 class MemberEventWrapper;
@@ -266,22 +226,15 @@ class MemberEventWrapper<F> : public Event
     explicit MemberEventWrapper(T *object, Priority prio = DefaultPri)
         : Event(prio), object_(object)
     {
-        setKind(registeredEventKind<MemberEventWrapper>(
-            kindLabel()));
     }
 
     MemberEventWrapper(T *object, std::string name,
                        Priority prio = DefaultPri)
         : Event(prio), object_(object), name_(std::move(name))
     {
-        setKind(registeredEventKind<MemberEventWrapper>(
-            kindLabel()));
     }
 
-    /** Devirtualized body (dispatch-table target). */
-    void invoke() { (object_->*F)(); }
-
-    void process() override { invoke(); }
+    void process() override { (object_->*F)(); }
 
     std::string
     name() const override
@@ -290,13 +243,6 @@ class MemberEventWrapper<F> : public Event
     }
 
   private:
-    /** Unique per-instantiation kind name (embeds T and F). */
-    static const char *
-    kindLabel()
-    {
-        return __PRETTY_FUNCTION__;
-    }
-
     T *object_;
     std::string name_;
 };
@@ -346,8 +292,8 @@ class EventQueue
      * This is THE scheduling entry point: every other spelling —
      * EventManager's helpers, scheduleOneShot() — funnels into this
      * overload (and its deschedule/reschedule siblings), so service
-     * order, FIFO-tie behaviour and the transient/fallback
-     * accounting have exactly one implementation.
+     * order, FIFO-tie behaviour and the transient accounting have
+     * exactly one implementation.
      */
     G5P_HOT void schedule(Event &event, Tick when);
 
@@ -413,10 +359,8 @@ class EventQueue
 
     /**
      * Service exactly one event: advance curTick to its tick and run
-     * its handler (table dispatch for kind-tagged events, virtual
-     * process() for fallback kinds). Returns the serviced event, or
-     * nullptr if empty. The returned pointer is dangling if the
-     * event auto-deleted.
+     * its process(). Returns the serviced event, or nullptr if empty.
+     * The returned pointer is dangling if the event auto-deleted.
      */
     G5P_HOT Event *serviceOne();
 
@@ -440,24 +384,13 @@ class EventQueue
      * next pending event, (b) never passes serviceHorizon() — the
      * run loop's tick limit — and (c) only batches while
      * batchingAllowed() holds. The run loop clears the flag when a
-     * watchdog or profiler needs per-event granularity. The queue
-     * additionally refuses batching while any fallback-kind event is
-     * pending: out-of-tree events were never audited against the
-     * batching contract, so their mere presence drops the queue to
-     * per-event granularity (PR 6 contract, tightened).
+     * watchdog or profiler needs per-event granularity.
      */
-    bool
-    batchingAllowed() const
-    {
-        return batchingAllowed_ && fallbackScheduled_ == 0;
-    }
+    bool batchingAllowed() const { return batchingAllowed_; }
     void setBatchingAllowed(bool v) { batchingAllowed_ = v; }
     Tick serviceHorizon() const { return serviceHorizon_; }
     void setServiceHorizon(Tick t) { serviceHorizon_ = t; }
     /** @} */
-
-    /** Pending fallback-kind (virtual-dispatch) events. */
-    std::size_t numFallbackPending() const { return fallbackScheduled_; }
 
     /** Total events serviced over the queue's lifetime. */
     std::uint64_t numServiced() const { return numServiced_; }
@@ -583,17 +516,11 @@ class EventQueue
     std::uint64_t numScheduled_ = 0;
     /** Pending auto-delete events (see quiescent()). */
     std::size_t transientScheduled_ = 0;
-    /** Pending fallback-kind events (see batchingAllowed()). */
-    std::size_t fallbackScheduled_ = 0;
 
     /** @{ Batching contract state (see batchingAllowed()). */
     bool batchingAllowed_ = true;
     Tick serviceHorizon_ = maxTick;
     /** @} */
-
-    /** Cached global dispatch table (avoids the function-local
-     *  static guard in the service loop). */
-    const EventDispatch *dispatch_;
 
     /** 4-ary min-heap; heap_[i].event->heapIndex_ == i. */
     std::vector<HeapNode> heap_;

@@ -44,22 +44,18 @@ class Simulator::ExitEvent : public Event
         : Event(SimExitPri), sim_(sim), message_(std::move(message)),
           cause_(cause), tag_(std::move(tag))
     {
-        setKind(registeredEventKind<ExitEvent>("Simulator::ExitEvent"));
         sim_.eventq_.registerSerial(tag_, this);
     }
 
     ~ExitEvent() override { sim_.eventq_.unregisterSerial(tag_); }
 
-    /** Devirtualized body (dispatch-table target). */
     void
-    invoke()
+    process() override
     {
         sim_.exitRequested_ = true;
         sim_.exitCause_ = cause_;
         sim_.exitMessage_ = message_;
     }
-
-    void process() override { invoke(); }
 
     std::string name() const override { return "exit-event"; }
 

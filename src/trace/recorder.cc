@@ -74,10 +74,4 @@ DataSpace::alloc(std::size_t size)
     return addr;
 }
 
-void
-DataSpace::resetForTest()
-{
-    next_ = base_;
-}
-
 } // namespace g5p::trace

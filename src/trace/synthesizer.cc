@@ -22,7 +22,6 @@ Synthesizer::Synthesizer(CodeLayout &layout, HostInstSink &sink,
       workScale_(work_scale)
 {
     stack_.reserve(96);
-    batch_.reserve(defaultBatchOps);
 }
 
 Synthesizer::~Synthesizer()
@@ -31,21 +30,12 @@ Synthesizer::~Synthesizer()
 }
 
 void
-Synthesizer::setBatchOps(std::size_t n)
-{
-    flush();
-    batchCap_ = n < 1 ? 1 : n;
-    if (batchCap_ > 1)
-        batch_.reserve(batchCap_);
-}
-
-void
 Synthesizer::flush()
 {
-    if (batch_.empty())
+    if (batched_ == 0)
         return;
-    sink_.ops(batch_.data(), batch_.size());
-    batch_.clear();
+    sink_.ops(batch_.data(), batched_);
+    batched_ = 0;
 }
 
 HostAddr

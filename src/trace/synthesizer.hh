@@ -104,16 +104,8 @@ class Synthesizer : public TraceConsumer
                  bool is_write) override;
     /** @} */
 
-    /** Default instructions buffered per ops() delivery. */
+    /** Instructions buffered per ops() delivery. */
     static constexpr std::size_t defaultBatchOps = 4096;
-
-    /**
-     * Set the delivery granularity. @p n <= 1 selects the unbatched
-     * path (one virtual op() call per instruction — the pre-batching
-     * behavior, kept for the ablation); larger values buffer @p n
-     * instructions per ops() call. Flushes any buffered tail first.
-     */
-    void setBatchOps(std::size_t n);
 
     /**
      * Deliver any buffered instructions to the sink now. Call before
@@ -174,20 +166,14 @@ class Synthesizer : public TraceConsumer
 
     HostAddr stackSlot(std::uint32_t offset) const;
 
-    /**
-     * Hand one instruction to the delivery path: buffered (batched
-     * ops() calls) or straight through op() when batching is off.
-     */
+    /** Buffer one instruction; a full buffer goes out in one
+     *  ops() call. */
     void
     emit(const HostOp &op)
     {
         ++opsEmitted_;
-        if (batchCap_ <= 1) {
-            sink_.op(op);
-            return;
-        }
-        batch_.push_back(op);
-        if (batch_.size() >= batchCap_)
+        batch_[batched_++] = op;
+        if (batched_ == defaultBatchOps)
             flush();
     }
 
@@ -197,9 +183,11 @@ class Synthesizer : public TraceConsumer
     double workScale_;
     std::vector<Frame> stack_;
 
-    /** @{ Delivery buffer (emit/flush). */
-    std::vector<HostOp> batch_;
-    std::size_t batchCap_ = defaultBatchOps;
+    /** @{ Delivery buffer: emit() fills the first batched_ of its
+     *  defaultBatchOps fixed slots and flush() hands them over. Fixed
+     *  slots keep vector growth code out of the inlined emit(). */
+    std::vector<HostOp> batch_ = std::vector<HostOp>(defaultBatchOps);
+    std::size_t batched_ = 0;
     /** @} */
 
     /**

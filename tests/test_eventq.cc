@@ -133,6 +133,34 @@ TEST(EventQueue, ServiceUntilRespectsLimit)
     eq.deschedule(e2);
 }
 
+TEST(EventQueue, PlainEventsLeaveBatchingToTheRunLoop)
+{
+    // A subclass that overrides only process() is an ordinary event:
+    // pending, it leaves batchingAllowed() to setBatchingAllowed()
+    // alone, and it is serviced in (when, priority, sequence) order.
+    EventQueue eq;
+    std::vector<int> log;
+    LogEvent late(log, 4), cpu(log, 3, Event::CpuTickPri);
+    LogEvent first(log, 1), second(log, 2);
+    eq.schedule(late, 30);
+    eq.schedule(cpu, 20);
+    eq.schedule(first, 20);
+    eq.schedule(second, 20);
+    EXPECT_TRUE(eq.batchingAllowed());
+
+    eq.setBatchingAllowed(false);
+    EXPECT_FALSE(eq.batchingAllowed());
+    eq.setBatchingAllowed(true);
+    EXPECT_TRUE(eq.batchingAllowed());
+
+    EXPECT_EQ(eq.serviceUntil(25), 3u);
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
+    EXPECT_TRUE(eq.batchingAllowed());
+    EXPECT_EQ(eq.serviceUntil(maxTick - 1), 1u);
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_TRUE(eq.batchingAllowed());
+}
+
 TEST(EventQueue, EventsCanRescheduleThemselves)
 {
     EventQueue eq;

@@ -214,7 +214,6 @@ TEST(Experiment, RunKeyCoversPlatformAndMachineFields)
     EXPECT_TRUE(differs([](RunConfig &c) { c.tuning.hotLayout = true; }));
     EXPECT_TRUE(differs(
         [](RunConfig &c) { c.platform.miteUopsPerCycle += 1e-9; }));
-    // Run control and delivery granularity leave the result alone.
-    EXPECT_FALSE(differs([](RunConfig &c) { c.sinkBatchOps = 1; }));
+    // Run control leaves the result alone.
     EXPECT_FALSE(differs([](RunConfig &c) { c.run.supervise = true; }));
 }

@@ -18,7 +18,9 @@
  *    scenarios of the memory-path optimization round, recorded from
  *    the pre-optimization cache/xbar with heap-allocated packets;
  *  - the dispatch rows (dispatch_*): recorded with every event
- *    serviced through virtual process() instead of the kind table.
+ *    serviced through virtual process(); they pin the service
+ *    loop's order for all four CPU models and a 4-core coherence
+ *    stress.
  * The shipped code must reproduce all of them byte for byte.
  *
  * Intentional changes are blessed by re-running with --update-golden,

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <random>
 #include <sstream>
@@ -25,8 +26,12 @@
 
 #include "base/sim_error.hh"
 #include "core/parallel.hh"
+#include "host/host_core.hh"
 #include "isa/decoder.hh"
 #include "os/system.hh"
+#include "trace/code_layout.hh"
+#include "trace/recorder.hh"
+#include "trace/synthesizer.hh"
 #include "workloads/workload.hh"
 
 using namespace g5p;
@@ -201,25 +206,100 @@ TEST(Parallel, DeterministicUnderShuffledSubmission)
     }
 }
 
-TEST(Parallel, BatchedSinkMatchesPerOpShim)
+namespace
 {
-    // The batched ops() path must be bit-identical to the per-op
-    // virtual shim: same Top-Down counters, same everything.
+
+/** Captures a profiled run's synthesized host-op stream. */
+struct RecordingSink : trace::HostInstSink
+{
+    void op(const trace::HostOp &op) override { stream.push_back(op); }
+
+    std::vector<trace::HostOp> stream;
+};
+
+/** The host-op stream of @p config's guest run, as the profiled
+ *  pipeline synthesizes it for the Xeon host model. */
+std::vector<trace::HostOp>
+recordStream(const RunConfig &config)
+{
+    sim::Simulator simulator("system");
+    auto workload = workloads::Registry::instance().create(
+        config.workload, config.workloadScale);
+    os::SystemConfig sys_cfg;
+    sys_cfg.cpuModel = config.cpuModel;
+    sys_cfg.maxInstsPerCpu = config.maxGuestInsts;
+    os::System system(simulator, sys_cfg, *workload);
+
+    trace::LayoutOptions layout_opts;
+    layout_opts.seed ^= config.seed * 0x9e3779b97f4a7c15ULL;
+    trace::CodeLayout layout(trace::FuncRegistry::instance(),
+                             layout_opts);
+    RecordingSink sink;
+    {
+        trace::Synthesizer synth(layout, sink, config.seed);
+        trace::Recorder recorder;
+        recorder.addConsumer(&synth);
+        recorder.activate();
+        system.run();
+        recorder.deactivate();
+    }
+    return std::move(sink.stream);
+}
+
+/**
+ * Counters and Top-Down of a fresh HostCore fed @p stream in ops()
+ * spans of @p span (0 = one op() call per instruction), as raw
+ * 64-bit words: every field of both structs is 8 bytes wide, so
+ * doubles compare as bit patterns and no padding is read.
+ */
+std::vector<std::uint64_t>
+replay(const std::vector<trace::HostOp> &stream, std::size_t span)
+{
+    host::HostPlatformConfig platform = host::xeonConfig();
+    host::PageSizePolicy policy(platform.pageBits);
+    host::HostCore core(platform, policy);
+    trace::HostInstSink &sink = core;
+    if (span == 0) {
+        for (const trace::HostOp &op : stream)
+            sink.op(op);
+    } else {
+        for (std::size_t i = 0; i < stream.size(); i += span)
+            sink.ops(stream.data() + i,
+                     std::min(span, stream.size() - i));
+    }
+
+    host::HostCounters c = core.counters();
+    host::TopdownBreakdown td = core.topdown();
+    static_assert(sizeof c % 8 == 0 && sizeof td % 8 == 0);
+    std::vector<std::uint64_t> words((sizeof c + sizeof td) / 8);
+    std::memcpy(words.data(), &c, sizeof c);
+    std::memcpy(words.data() + sizeof c / 8, &td, sizeof td);
+    return words;
+}
+
+} // namespace
+
+TEST(Parallel, HostCoreReplayIdenticalAcrossDeliverySpans)
+{
+    // Delivery granularity must be invisible to the host model: one
+    // profiled run's op stream, replayed per op, in the
+    // synthesizer's 4096-op spans and in odd 7-op spans, yields
+    // bit-identical counters and Top-Down.
     for (os::CpuModel model :
          {os::CpuModel::Atomic, os::CpuModel::O3}) {
-        RunConfig batched;
-        batched.workload = "water_nsquared";
-        batched.workloadScale = 0.25;
-        batched.cpuModel = model;
-        batched.platform = host::xeonConfig();
+        RunConfig cfg;
+        cfg.workload = "water_nsquared";
+        cfg.workloadScale = 0.25;
+        cfg.maxGuestInsts = 200;
+        cfg.cpuModel = model;
+        std::vector<trace::HostOp> stream = recordStream(cfg);
+        ASSERT_GT(stream.size(), 100000u) << os::cpuModelName(model);
 
-        RunConfig unbatched = batched;
-        unbatched.sinkBatchOps = 1;
-
-        RunResult a = runProfiledSimulation(batched);
-        RunResult b = runProfiledSimulation(unbatched);
-        EXPECT_EQ(resultSignature(a), resultSignature(b))
+        std::vector<std::uint64_t> per_op = replay(stream, 0);
+        EXPECT_EQ(per_op, replay(stream,
+                                 trace::Synthesizer::defaultBatchOps))
             << os::cpuModelName(model);
+        EXPECT_EQ(per_op, replay(stream, 7)) << os::cpuModelName(model);
     }
 }
 

@@ -87,15 +87,14 @@ if [ "$#" -gt 0 ]; then
     ctest --preset sanitize -R '^(AddrTable|PacketPool|PooledCheckpoint|PoolDrain)|GoldenRun.*/(timing_|o3_1c|minor_)'
 fi
 
-# Dispatch pass: the PR 9 kind table is read through relaxed atomics
-# on the hottest path in the tree, the event kind byte lives in tail
-# padding, and the THP arenas hand out mmap-backed slabs that the
-# event pool and decode cache carve up manually — all prime ASan/
+# Dispatch pass: the THP arenas hand out mmap-backed slabs that the
+# event pool and decode cache carve up manually, and auto-delete
+# events free themselves from inside the service loop — prime ASan/
 # UBSan territory. The dispatch golden rows run all four CPU models
-# and a 4-core coherence stress through the table sanitized.
+# and a 4-core coherence stress through the service loop sanitized.
 if [ "$#" -gt 0 ]; then
     echo "== ctest dispatch suite (preset: sanitize) =="
-    ctest --preset sanitize -R '^(EventDispatchTable|DispatchBatching)|GoldenRun.*/dispatch_'
+    ctest --preset sanitize -R 'GoldenRun.*/dispatch_'
 fi
 
 # Sweep-service pass: the chaos suite walks the crash/retry/eviction
@@ -133,12 +132,10 @@ if [ "${G5P_SKIP_TSAN:-0}" != "1" ]; then
     # so the protocol paths must also be clean under TSan. The sweep
     # service dispatches batches onto the same pool (and its commit
     # loop reads outcomes the workers wrote), so its suites ride
-    # along too. The dispatch suites join because the kind table is
-    # the one structure registered by any thread and read by all
-    # service loops — exactly the publish/read edge TSan checks.
+    # along too.
     echo "== ctest parallel suites (preset: tsan) =="
     # The timing-path suites join because the packet pool and THP
     # arenas are thread-local by design — TSan proves no state leaks
     # across the pool threads that run whole simulations.
-    ctest --preset tsan -R '^(Parallel|Checkpoint|Sampling|Coherence|Service|EventDispatchTable|DispatchBatching)|Pool'
+    ctest --preset tsan -R '^(Parallel|Checkpoint|Sampling|Coherence|Service)|Pool'
 fi
