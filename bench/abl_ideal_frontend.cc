@@ -21,7 +21,7 @@ using Mutator = void (*)(host::HostPlatformConfig &);
 void
 idealIcache(host::HostPlatformConfig &cfg)
 {
-    cfg.icache = {16 * 1024 * 1024, 16, cfg.lineBytes};
+    cfg.icache = {16 * 1024 * 1024, 16};
 }
 
 void

@@ -12,6 +12,7 @@
 
 #include <deque>
 #include <random>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "host/host_core.hh"
@@ -216,11 +217,10 @@ BENCHMARK(BM_GuestSimulationRate)
 void
 BM_HostCacheAccess(benchmark::State &state)
 {
-    host::HostCache cache({32 * 1024, 8, 64});
+    host::HostCache cache({32 * 1024, 8}, 64);
     Rng rng(11);
     for (auto _ : state)
-        benchmark::DoNotOptimize(
-            cache.access(rng.below(1 << 20), false));
+        benchmark::DoNotOptimize(cache.access(rng.below(1 << 20)));
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HostCacheAccess);
@@ -228,22 +228,30 @@ BENCHMARK(BM_HostCacheAccess);
 void
 BM_HostModelThroughput(benchmark::State &state)
 {
-    // Ops/second through the whole host pipeline model: this bounds
-    // how fast profiled simulations can run.
-    auto platform = host::xeonConfig();
-    host::PageSizePolicy policy(platform.pageBits);
-    host::HostCore core(platform, policy);
+    // Ops/second through the whole host pipeline model, delivered in
+    // the synthesizer's batch spans (the path profiled runs take):
+    // this bounds how fast profiled simulations can run.
+    constexpr std::size_t span = trace::Synthesizer::defaultBatchOps;
+    constexpr std::size_t spans = 64;
+    std::vector<trace::HostOp> stream(span * spans);
     Rng rng(13);
-    trace::HostOp op;
-    for (auto _ : state) {
+    for (trace::HostOp &op : stream) {
         op.pc = 0x40'0000 + (rng.below(1 << 21) & ~3ull);
         op.kind = rng.chance(0.3) ? trace::HostOp::Kind::Load
                                   : trace::HostOp::Kind::Alu;
         op.dataAddr = 0x2000'0000 + rng.below(1 << 22);
         op.dataSize = 8;
-        core.op(op);
     }
-    state.SetItemsProcessed(state.iterations());
+
+    auto platform = host::xeonConfig();
+    host::PageSizePolicy policy(platform.pageBits);
+    host::HostCore core(platform, policy);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        core.ops(stream.data() + next * span, span);
+        next = (next + 1) % spans;
+    }
+    state.SetItemsProcessed(state.iterations() * (std::int64_t)span);
 }
 BENCHMARK(BM_HostModelThroughput);
 

@@ -11,13 +11,19 @@
  * throughput at 40 processes), and this harness reproduces that
  * methodology in-process.
  *
+ * The serial reference times each job on its own, so the bench also
+ * reports the makespan lower bound max(sum t / N, max t) of N threads
+ * and the speedup ceiling sum t / bound it implies: the jobs are
+ * uneven, and a pool cannot beat its longest job. A measured speedup
+ * near the ceiling means the sweep, not the pool, limits scaling.
+ *
  * Part 2 — batched sink delivery: record one run's synthesized op
  * stream, then hand the same stream to fresh HostCores through the
  * two delivery contracts — one virtual op() call per instruction
- * (the pre-batching path, what HostInstSink shims still do) versus
- * one ops() call per 4096-instruction span. This measures the sink
- * boundary itself; both deliveries must produce bit-identical
- * counters.
+ * (what HostInstSink shims do; HostCore::op forwards a span of one
+ * to ops()) versus one ops() call per 4096-instruction span. This
+ * measures the sink boundary itself; both deliveries must produce
+ * bit-identical counters.
  *
  * Writes BENCH_parallel.json. Gates: batched delivery >= 1.15x the
  * per-op sink throughput, and (only when the host has >= 4 hardware
@@ -229,40 +235,56 @@ main(int argc, char **argv)
     // ----------------------------------------------------------
     std::vector<RunConfig> configs = sweepConfigs(scale);
 
-    auto t0 = std::chrono::steady_clock::now();
-    std::vector<RunResult> serial = runExperiments(configs, 1);
-    double serial_s = secondsSince(t0);
-
+    // Serial reference, one job at a time so each job's time is
+    // known.
     std::vector<std::string> reference;
-    for (const RunResult &r : serial)
-        reference.push_back(signatureOf(r));
+    std::vector<double> job_s;
+    for (const RunConfig &config : configs) {
+        auto t0 = std::chrono::steady_clock::now();
+        std::vector<RunResult> one = runExperiments({config}, 1);
+        job_s.push_back(secondsSince(t0));
+        reference.push_back(signatureOf(one[0]));
+    }
+    double serial_s = 0, longest_s = 0;
+    for (double t : job_s) {
+        serial_s += t;
+        longest_s = std::max(longest_s, t);
+    }
+
+    std::printf("\nserial job seconds:");
+    for (double t : job_s)
+        std::printf(" %.3f", t);
+    std::printf("\n");
 
     bool identical = true;
-    std::printf("\n%-28s %10s %10s %10s\n", "pool",
-                "wall s", "speedup", "identical");
-    std::printf("%-28s %10.3f %10s %10s\n", "serial (reference)",
-                serial_s, "1.00x", "-");
+    std::printf("\n%-28s %10s %10s %10s %10s %10s\n", "pool",
+                "wall s", "speedup", "bound s", "ceiling", "identical");
+    std::printf("%-28s %10.3f %10s %10s %10s %10s\n",
+                "serial (reference)", serial_s, "1.00x", "-", "-",
+                "-");
 
     struct Point
     {
         unsigned jobs;
         double seconds;
+        double boundSeconds; ///< makespan lower bound
         bool identical;
     };
     std::vector<Point> points;
     for (unsigned jobs : {2u, 4u}) {
-        t0 = std::chrono::steady_clock::now();
+        auto t0 = std::chrono::steady_clock::now();
         std::vector<RunResult> pooled = runExperiments(configs, jobs);
         double pooled_s = secondsSince(t0);
         bool same = pooled.size() == reference.size();
         for (std::size_t i = 0; same && i < pooled.size(); ++i)
             same = signatureOf(pooled[i]) == reference[i];
         identical = identical && same;
-        points.push_back(Point{jobs, pooled_s, same});
-        std::printf("%-28s %10.3f %9.2fx %10s\n",
+        double bound_s = std::max(serial_s / jobs, longest_s);
+        points.push_back(Point{jobs, pooled_s, bound_s, same});
+        std::printf("%-28s %10.3f %9.2fx %10.3f %9.2fx %10s\n",
                     (std::to_string(jobs) + " threads").c_str(),
-                    pooled_s, serial_s / pooled_s,
-                    same ? "yes" : "NO");
+                    pooled_s, serial_s / pooled_s, bound_s,
+                    serial_s / bound_s, same ? "yes" : "NO");
     }
 
     // ----------------------------------------------------------
@@ -345,13 +367,16 @@ main(int argc, char **argv)
     {
         bool applies = hw >= 4;
         double x4 = serial_s / points.back().seconds;
+        double ceiling = serial_s / points.back().boundSeconds;
         if (applies)
             std::snprintf(detail, sizeof detail,
-                          "4-thread speedup %.2fx (gate 3.0x)", x4);
+                          "4-thread speedup %.2fx (gate 3.0x; "
+                          "makespan ceiling %.2fx)", x4, ceiling);
         else
             std::snprintf(detail, sizeof detail,
                           "needs >= 4 hardware threads, host has %u "
-                          "(speedup %.2fx reported only)", hw, x4);
+                          "(speedup %.2fx, makespan ceiling %.2fx, "
+                          "reported only)", hw, x4, ceiling);
         gates.push_back({"scaling_3x_at_4_threads", applies,
                          applies && x4 >= 3.0, detail});
     }
@@ -372,14 +397,23 @@ main(int argc, char **argv)
     json << "{\n  \"hardware_threads\": " << hw << ",\n"
          << "  \"sweep_runs\": " << configs.size() << ",\n"
          << "  \"serial_seconds\": " << serial_s << ",\n"
+         << "  \"job_seconds\": [";
+    for (std::size_t i = 0; i < job_s.size(); ++i)
+        json << (i ? ", " : "") << job_s[i];
+    json << "],\n"
          << "  \"scaling\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
-        char buf[160];
+        char buf[256];
         std::snprintf(buf, sizeof buf,
                       "    {\"jobs\": %u, \"seconds\": %.6f, "
-                      "\"speedup\": %.3f, \"identical\": %s}%s\n",
+                      "\"speedup\": %.3f, "
+                      "\"makespan_bound_seconds\": %.6f, "
+                      "\"speedup_ceiling\": %.3f, "
+                      "\"identical\": %s}%s\n",
                       points[i].jobs, points[i].seconds,
                       serial_s / points[i].seconds,
+                      points[i].boundSeconds,
+                      serial_s / points[i].boundSeconds,
                       points[i].identical ? "true" : "false",
                       i + 1 < points.size() ? "," : "");
         json << buf;

@@ -58,8 +58,7 @@ runKey(const RunConfig &config)
     std::ostringstream key;
     auto cache = [&key](const char *name,
                         const host::HostCacheGeometry &g) {
-        key << ' ' << name << '=' << g.sizeBytes << '/' << g.assoc
-            << '/' << g.lineBytes;
+        key << ' ' << name << '=' << g.sizeBytes << '/' << g.assoc;
     };
     auto tlb = [&key](const char *name,
                       const host::HostTlbGeometry &g) {

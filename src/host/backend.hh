@@ -22,21 +22,16 @@ class BackendModel
 {
   public:
     BackendModel(const HostPlatformConfig &config,
-                 const PageSizePolicy &policy, Uncore &uncore);
+                 const PageSizePolicy &policy, Uncore &uncore)
+        : config_(config),
+          uncore_(uncore),
+          dcache_(config.dcache, config.lineBytes),
+          dtlb_(config.dtlb, &policy)
+    {}
 
-    /**
-     * Account the memory/core costs of one op. Out-of-line wrapper
-     * around onOpInline() for the per-op sink path (HostCore::op) —
-     * the pre-batching cross-TU call the ablation measures.
-     */
+    /** Account the memory/core costs of one op. Inline below for the
+     *  batched sink loop (HostCore::ops). */
     void onOp(const trace::HostOp &op, HostCounters &counters);
-
-    /** The same accounting, inline below for the batched sink loop.
-     *  Bit-identical to onOp(). */
-    void onOpInline(const trace::HostOp &op, HostCounters &counters);
-
-    const HostCache &dcache() const { return dcache_; }
-    const HostTlb &dtlb() const { return dtlb_; }
 
   private:
     const HostPlatformConfig &config_;
@@ -46,8 +41,7 @@ class BackendModel
 };
 
 inline void
-BackendModel::onOpInline(const trace::HostOp &op,
-                         HostCounters &counters)
+BackendModel::onOp(const trace::HostOp &op, HostCounters &counters)
 {
     using trace::HostOp;
 
@@ -72,11 +66,11 @@ BackendModel::onOpInline(const trace::HostOp &op,
     }
 
     ++counters.dcacheAccesses;
-    if (dcache_.access(op.dataAddr, is_store))
+    if (dcache_.access(op.dataAddr))
         return;
     ++counters.dcacheMisses;
 
-    auto mem = uncore_.access(op.dataAddr, is_store);
+    auto mem = uncore_.access(op.dataAddr);
     double exposed;
     switch (mem.level) {
       case Uncore::Level::L2:

@@ -1,7 +1,5 @@
 #include "host/branch_predictor.hh"
 
-#include <algorithm>
-
 #include "base/addr_utils.hh"
 #include "base/logging.hh"
 
@@ -52,7 +50,6 @@ HostBranchPredictor::resolve(const trace::HostOp &op)
         if (ras_pop() != op.target) {
             res.mispredicted = true;
             ++mispredicts_;
-            ++mispRet_;
         }
         return res;
     }
@@ -99,7 +96,6 @@ HostBranchPredictor::resolve(const trace::HostOp &op)
     if (pred_taken != op.taken) {
         res.mispredicted = true;
         ++mispredicts_;
-        ++mispCond_;
     } else if (op.taken) {
         std::size_t idx = (op.pc >> 1) & btbMask_;
         BtbEntry &entry = btb_[idx];
@@ -119,22 +115,7 @@ HostBranchPredictor::resolve(const trace::HostOp &op)
         std::size_t idx = (op.pc >> 1) & btbMask_;
         btb_[idx] = BtbEntry{op.pc, op.target, true};
     }
-    history_ = ((history_ << 1) | (op.taken ? 1 : 0)) & 0xffffff;
-
     return res;
-}
-
-void
-HostBranchPredictor::reset()
-{
-    std::fill(counters_.begin(), counters_.end(), 1);
-    for (auto &entry : btb_)
-        entry.valid = false;
-    for (auto &entry : indirect_)
-        entry.valid = false;
-    rasTop_ = 0;
-    history_ = 0;
-    branches_ = mispredicts_ = unknown_ = 0;
 }
 
 } // namespace g5p::host

@@ -3,17 +3,16 @@
  * Counting cache model for the host side (the "real" machine that
  * runs mg5). Unlike the guest's event-driven mem::Cache, this model
  * tracks tags and hit/miss counts only; latency is charged by the
- * HostCore's cycle accounting. Line size is configurable (64B Xeon,
- * 128B Apple M1 — one of the paper's Fig. 8 explanations).
+ * HostCore's cycle accounting. The line size is the platform's one
+ * line size (64B Xeon, 128B Apple M1 — one of the paper's Fig. 8
+ * explanations), shared by every level.
  */
 
 #ifndef G5P_HOST_CACHE_MODEL_HH
 #define G5P_HOST_CACHE_MODEL_HH
 
-#include <cstdint>
-#include <vector>
-
 #include "base/types.hh"
+#include "host/tag_array.hh"
 
 namespace g5p::host
 {
@@ -23,106 +22,40 @@ struct HostCacheGeometry
 {
     std::uint64_t sizeBytes = 32 * 1024;
     unsigned assoc = 8;
-    unsigned lineBytes = 64;
 
-    std::uint64_t numLines() const { return sizeBytes / lineBytes; }
-    std::uint64_t numSets() const { return numLines() / assoc; }
+    std::uint64_t
+    numSets(unsigned line_bytes) const
+    {
+        return sizeBytes / line_bytes / assoc;
+    }
 };
 
+/** A cache level: maps an address to its line in an LRU tag array. */
 class HostCache
 {
   public:
-    explicit HostCache(const HostCacheGeometry &geometry);
+    HostCache(const HostCacheGeometry &geometry, unsigned line_bytes);
 
-    /**
-     * Look up @p addr; allocates on miss. @return hit.
-     *
-     * Defined inline below: this is the innermost step of the
-     * per-instruction model chain, and the batched sink loop
-     * (HostCore::ops) relies on the whole chain being visible for
-     * inlining.
-     */
-    bool access(HostAddr addr, bool is_write);
+    /** Look up @p addr; allocates on miss. @return hit. */
+    bool access(HostAddr addr) { return lines_.access(addr >> lineShift_); }
 
-    /** Look up without allocating (probes). */
-    bool contains(HostAddr addr) const;
-
-    /** @{ Counters. */
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-    double
-    missRate() const
-    {
-        std::uint64_t total = hits_ + misses_;
-        return total ? (double)misses_ / (double)total : 0.0;
-    }
-    /** @} */
+    std::uint64_t hits() const { return lines_.hits(); }
+    std::uint64_t misses() const { return lines_.misses(); }
 
     /** Currently valid lines (occupancy, Fig. 9). */
-    std::uint64_t validLines() const { return validLines_; }
+    std::uint64_t validLines() const { return lines_.validEntries(); }
 
     /** Occupied bytes. */
     std::uint64_t
     occupancyBytes() const
     {
-        return validLines_ * geometry_.lineBytes;
+        return lines_.validEntries() << lineShift_;
     }
-
-    const HostCacheGeometry &geometry() const { return geometry_; }
-
-    void reset();
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        std::uint64_t lastUsed = 0;
-    };
-
-    HostCacheGeometry geometry_;
-    unsigned setShift_;
-    unsigned tagShift_ = 0;
-    std::uint64_t setMask_;
-    std::vector<Line> lines_;
-    std::uint64_t lruCounter_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t validLines_ = 0;
+    unsigned lineShift_;
+    LruTagArray lines_;
 };
-
-inline bool
-HostCache::access(HostAddr addr, bool is_write)
-{
-    std::uint64_t line_no = addr >> setShift_;
-    std::uint64_t set = line_no & setMask_;
-    std::uint64_t tag = line_no >> tagShift_;
-
-    Line *base = &lines_[set * geometry_.assoc];
-    Line *victim = base;
-    for (unsigned w = 0; w < geometry_.assoc; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lastUsed = ++lruCounter_;
-            ++hits_;
-            return true;
-        }
-        if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid &&
-                   line.lastUsed < victim->lastUsed) {
-            victim = &line;
-        }
-    }
-
-    ++misses_;
-    if (!victim->valid)
-        ++validLines_;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUsed = ++lruCounter_;
-    return false;
-}
 
 } // namespace g5p::host
 

@@ -15,9 +15,8 @@
 #ifndef G5P_HOST_DSB_HH
 #define G5P_HOST_DSB_HH
 
-#include <vector>
-
 #include "base/types.hh"
+#include "host/tag_array.hh"
 
 namespace g5p::host
 {
@@ -36,10 +35,13 @@ struct DsbGeometry
     unsigned ineligiblePct = 25;
 };
 
+/** The DSB: maps a pc to its 32B window in an LRU tag array. */
 class DsbModel
 {
   public:
-    explicit DsbModel(const DsbGeometry &geometry);
+    explicit DsbModel(const DsbGeometry &geometry)
+        : geometry_(geometry), windows_(geometry.windows, geometry.assoc)
+    {}
 
     /** Window size covered by one entry. */
     static constexpr unsigned windowBytes = 32;
@@ -53,33 +55,22 @@ class DsbModel
 
     bool enabled() const { return geometry_.windows > 0; }
 
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-
-    void reset();
+    std::uint64_t hits() const { return windows_.hits(); }
+    std::uint64_t misses() const { return windows_.misses() + bypassed_; }
 
   private:
-    struct Entry
-    {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        std::uint64_t lastUsed = 0;
-    };
-
     DsbGeometry geometry_;
-    unsigned numSets_ = 0;
-    unsigned tagShift_ = 0;
-    std::vector<Entry> entries_;
-    std::uint64_t lruCounter_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    LruTagArray windows_;
+    /** Lookups that never reach the array: no DSB, or an
+     *  ineligible window. */
+    std::uint64_t bypassed_ = 0;
 };
 
 inline bool
 DsbModel::access(HostAddr pc)
 {
     if (!enabled()) {
-        ++misses_;
+        ++bypassed_;
         return false;
     }
 
@@ -88,35 +79,10 @@ DsbModel::access(HostAddr pc)
     // Per-window eligibility is a fixed property of the code.
     std::uint64_t h = window * 0x9e3779b97f4a7c15ULL;
     if ((h >> 33) % 100 < geometry_.ineligiblePct) {
-        ++misses_;
+        ++bypassed_;
         return false;
     }
-
-    std::uint64_t set = window & (numSets_ - 1);
-    std::uint64_t tag = window >> tagShift_;
-
-    Entry *base = &entries_[set * geometry_.assoc];
-    Entry *victim = base;
-    for (unsigned w = 0; w < geometry_.assoc; ++w) {
-        Entry &entry = base[w];
-        if (entry.valid && entry.tag == tag) {
-            entry.lastUsed = ++lruCounter_;
-            ++hits_;
-            return true;
-        }
-        if (!entry.valid) {
-            victim = &entry;
-        } else if (victim->valid &&
-                   entry.lastUsed < victim->lastUsed) {
-            victim = &entry;
-        }
-    }
-
-    ++misses_;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUsed = ++lruCounter_;
-    return false;
+    return windows_.access(window);
 }
 
 } // namespace g5p::host

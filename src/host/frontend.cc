@@ -1,12 +1,9 @@
 #include "host/frontend.hh"
 
 #include "base/addr_utils.hh"
-#include "base/logging.hh"
 
 namespace g5p::host
 {
-
-using trace::HostOp;
 
 namespace
 {
@@ -27,7 +24,7 @@ FrontendModel::FrontendModel(const HostPlatformConfig &config,
                              Uncore &uncore)
     : config_(config),
       uncore_(uncore),
-      icache_(config.icache),
+      icache_(config.icache, config.lineBytes),
       itlb_(config.itlb, &policy),
       bpred_(config.bpred),
       dsb_(config.dsb),
@@ -37,15 +34,6 @@ FrontendModel::FrontendModel(const HostPlatformConfig &config,
       mitePenaltyPerUop_(bwPenaltyPerUop(config.miteUopsPerCycle,
                                          config.dispatchWidth))
 {
-    g5p_assert(isPowerOf2(config.lineBytes),
-               "fetch line size must be a power of two (%u)",
-               config.lineBytes);
-}
-
-void
-FrontendModel::onOp(const HostOp &op, HostCounters &counters)
-{
-    onOpInline(op, counters);
 }
 
 } // namespace g5p::host

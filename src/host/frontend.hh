@@ -32,27 +32,12 @@ class FrontendModel
                   const PageSizePolicy &policy, Uncore &uncore);
 
     /**
-     * Account the fetch/decode/branch costs of one op. Out-of-line
-     * wrapper around onOpInline(): the per-op sink path (HostCore::op)
-     * calls this across the TU boundary, which is exactly the
-     * pre-batching delivery cost the ablation measures.
+     * Account the fetch/decode/branch costs of one op. Defined inline
+     * below: the batched sink loop (HostCore::ops) fuses the model
+     * chain — front-end, back-end, caches, TLBs, DSB — into one loop
+     * body and keeps the hot state in registers across ops.
      */
     void onOp(const trace::HostOp &op, HostCounters &counters);
-
-    /**
-     * The same accounting, defined inline below. The batched sink
-     * loop (HostCore::ops) calls this so the compiler can fuse the
-     * whole model chain — front-end, back-end, caches, TLBs, DSB,
-     * predictor, uncore — into one loop body and keep the hot state
-     * in registers across ops. Identical statements in identical
-     * order as onOp(), so results are bit-identical.
-     */
-    void onOpInline(const trace::HostOp &op, HostCounters &counters);
-
-    const HostCache &icache() const { return icache_; }
-    const HostTlb &itlb() const { return itlb_; }
-    const HostBranchPredictor &bpred() const { return bpred_; }
-    const DsbModel &dsb() const { return dsb_; }
 
   private:
     const HostPlatformConfig &config_;
@@ -86,8 +71,7 @@ class FrontendModel
 };
 
 inline void
-FrontendModel::onOpInline(const trace::HostOp &op,
-                          HostCounters &counters)
+FrontendModel::onOp(const trace::HostOp &op, HostCounters &counters)
 {
     using trace::HostOp;
 
@@ -96,9 +80,9 @@ FrontendModel::onOpInline(const trace::HostOp &op,
     if (line != lastLine_) {
         lastLine_ = line;
         ++counters.icacheAccesses;
-        if (!icache_.access(op.pc, false)) {
+        if (!icache_.access(op.pc)) {
             ++counters.icacheMisses;
-            auto mem = uncore_.access(op.pc, false);
+            auto mem = uncore_.access(op.pc);
             // The fetch queue and next-line prefetch hide part of an
             // ifetch miss; the exposed fraction starves the decoder.
             counters.feLatIcacheCycles +=

@@ -16,28 +16,14 @@ HostCore::HostCore(const HostPlatformConfig &config,
         uopCycles_[u] = (double)u / (double)config_.dispatchWidth;
 }
 
-HostCore::~HostCore() = default;
-
-void
-HostCore::op(const trace::HostOp &op)
-{
-    ++counters_.insts;
-    counters_.uops += op.uops;
-    counters_.baseCycles += uopCycles_[op.uops];
-
-    frontend_->onOp(op, counters_);
-    backend_->onOp(op, counters_);
-}
-
 void
 HostCore::ops(const trace::HostOp *batch, std::size_t count)
 {
-    // The batched win: onOpInline is visible here, so the whole model
-    // chain (front-end, back-end, caches, TLBs, DSB, predictor,
-    // uncore) fuses into this one loop — no per-op calls at all,
-    // versus op()'s virtual dispatch plus two cross-TU calls per
-    // instruction. Same statements in the same order, so the counters
-    // come out bit-identical to the per-op path.
+    // Both models' onOp() are inline, so the whole model chain
+    // (front-end, back-end, caches, TLBs, DSB) fuses into this one
+    // loop; only the predictor and L1-miss service stay calls. A
+    // span of one (op()) runs the same statements, so the counters
+    // do not depend on how the stream was split into spans.
     HostCounters &counters = counters_;
     FrontendModel &frontend = *frontend_;
     BackendModel &backend = *backend_;
@@ -47,8 +33,8 @@ HostCore::ops(const trace::HostOp *batch, std::size_t count)
         ++counters.insts;
         counters.uops += op.uops;
         counters.baseCycles += uop_cycles[op.uops];
-        frontend.onOpInline(op, counters);
-        backend.onOpInline(op, counters);
+        frontend.onOp(op, counters);
+        backend.onOp(op, counters);
     }
 }
 
@@ -67,44 +53,6 @@ TopdownBreakdown
 HostCore::topdown() const
 {
     return computeTopdown(counters(), config_.dispatchWidth);
-}
-
-void
-HostCounters::add(const HostCounters &other)
-{
-    insts += other.insts;
-    uops += other.uops;
-    loads += other.loads;
-    stores += other.stores;
-    branches += other.branches;
-    baseCycles += other.baseCycles;
-    feLatIcacheCycles += other.feLatIcacheCycles;
-    feLatItlbCycles += other.feLatItlbCycles;
-    feLatMispredictCycles += other.feLatMispredictCycles;
-    feLatUnknownCycles += other.feLatUnknownCycles;
-    feLatClearCycles += other.feLatClearCycles;
-    feBwMiteCycles += other.feBwMiteCycles;
-    feBwDsbCycles += other.feBwDsbCycles;
-    badSpecCycles += other.badSpecCycles;
-    beMemCycles += other.beMemCycles;
-    beCoreCycles += other.beCoreCycles;
-    icacheAccesses += other.icacheAccesses;
-    icacheMisses += other.icacheMisses;
-    dcacheAccesses += other.dcacheAccesses;
-    dcacheMisses += other.dcacheMisses;
-    itlbAccesses += other.itlbAccesses;
-    itlbMisses += other.itlbMisses;
-    dtlbAccesses += other.dtlbAccesses;
-    dtlbMisses += other.dtlbMisses;
-    l2Misses += other.l2Misses;
-    llcMisses += other.llcMisses;
-    mispredicts += other.mispredicts;
-    unknownBranches += other.unknownBranches;
-    uopsFromDsb += other.uopsFromDsb;
-    uopsFromMite += other.uopsFromMite;
-    dramBytes += other.dramBytes;
-    if (other.llcOccupancyBytes > llcOccupancyBytes)
-        llcOccupancyBytes = other.llcOccupancyBytes;
 }
 
 TopdownBreakdown

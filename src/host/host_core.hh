@@ -20,7 +20,7 @@
 namespace g5p::host
 {
 
-class HostCore : public trace::HostInstSink
+class HostCore final : public trace::HostInstSink
 {
   public:
     /**
@@ -30,17 +30,13 @@ class HostCore : public trace::HostInstSink
      */
     HostCore(const HostPlatformConfig &config,
              const PageSizePolicy &policy);
-    ~HostCore() override;
 
-    /** HostInstSink: account one instruction. */
-    void op(const trace::HostOp &op) override;
+    /** HostInstSink: account one instruction — a span of one. */
+    void op(const trace::HostOp &op) override { ops(&op, 1); }
 
-    /**
-     * HostInstSink: account a batch. Same per-op arithmetic in the
-     * same order as op() — results are bit-identical — but one
-     * virtual call amortized over the whole batch with the model
-     * pointers hoisted out of the loop.
-     */
+    /** HostInstSink: account a batch. One virtual call amortized
+     *  over the whole batch, with the model pointers hoisted out of
+     *  the loop. */
     void ops(const trace::HostOp *batch, std::size_t count) override;
 
     /** Finalized counters (uncore fields folded in). */
@@ -49,28 +45,12 @@ class HostCore : public trace::HostInstSink
     /** Top-Down breakdown at this platform's width. */
     TopdownBreakdown topdown() const;
 
-    /** Cycles so far. */
-    double cycles() const { return counters_.totalCycles(); }
-
     /** Wall-clock seconds at the platform frequency. */
     double
     seconds(bool turbo = false) const
     {
-        return cycles() / config_.effectiveHz(turbo);
+        return counters_.totalCycles() / config_.effectiveHz(turbo);
     }
-
-    /** DRAM bandwidth in GB/s over the modeled run. */
-    double
-    dramBandwidthGBs(bool turbo = false) const
-    {
-        double s = seconds(turbo);
-        return s > 0 ? (double)uncore_->dramBytes() / 1e9 / s : 0.0;
-    }
-
-    const HostPlatformConfig &config() const { return config_; }
-    const FrontendModel &frontend() const { return *frontend_; }
-    const BackendModel &backend() const { return *backend_; }
-    const Uncore &uncore() const { return *uncore_; }
 
   private:
     HostPlatformConfig config_;

@@ -15,10 +15,10 @@ xeonConfig()
     cfg.dispatchWidth = 4;
     cfg.lineBytes = 64;
     cfg.pageBits = 12;
-    cfg.icache = {32 * 1024, 8, 64};
-    cfg.dcache = {32 * 1024, 8, 64};
-    cfg.l2 = {1024 * 1024, 16, 64};            // 1MB private MLC
-    cfg.llc = {32 * 1024 * 1024, 16, 64};      // ~35.75MB shared
+    cfg.icache = {32 * 1024, 8};
+    cfg.dcache = {32 * 1024, 8};
+    cfg.l2 = {1024 * 1024, 16};        // 1MB private MLC
+    cfg.llc = {32 * 1024 * 1024, 16};  // ~35.75MB shared
     cfg.itlb = {128, 8};
     cfg.dtlb = {64, 4};
     cfg.itlbWalkCycles = 30;
@@ -55,8 +55,8 @@ firestormCore()
     cfg.dispatchWidth = 8;
     cfg.lineBytes = 128;
     cfg.pageBits = 14;                          // 16KB pages
-    cfg.icache = {192 * 1024, 12, 128};         // 128 sets
-    cfg.dcache = {128 * 1024, 8, 128};
+    cfg.icache = {192 * 1024, 12};              // 128 sets
+    cfg.dcache = {128 * 1024, 8};
     cfg.itlb = {192, 8};                        // 24 sets... (below)
     cfg.dtlb = {160, 5};
     cfg.itlbWalkCycles = 18;
@@ -85,8 +85,8 @@ m1ProConfig()
     // TLB geometries must divide into power-of-two sets.
     cfg.itlb = {256, 8};
     cfg.dtlb = {256, 8};
-    cfg.l2 = {12 * 1024 * 1024, 12, 128};  // per P-cluster
-    cfg.llc = {8 * 1024 * 1024, 16, 128};  // SLC
+    cfg.l2 = {12 * 1024 * 1024, 12};       // per P-cluster
+    cfg.llc = {8 * 1024 * 1024, 16};       // SLC
     cfg.physicalCores = 4;                 // performance cores
     cfg.hwThreads = 4;
     cfg.coresPerL2 = 4;
@@ -102,8 +102,8 @@ m1UltraConfig()
     cfg.name = "M1_Ultra";
     cfg.itlb = {256, 8};
     cfg.dtlb = {256, 8};
-    cfg.l2 = {48 * 1024 * 1024, 12, 128};
-    cfg.llc = {96 * 1024 * 1024, 12, 128};
+    cfg.l2 = {48 * 1024 * 1024, 12};
+    cfg.llc = {96 * 1024 * 1024, 12};
     cfg.physicalCores = 16;
     cfg.hwThreads = 16;
     cfg.coresPerL2 = 4;
@@ -122,10 +122,10 @@ firesimConfig()
     cfg.dispatchWidth = 8;       // Table I: 8-wide superscalar
     cfg.lineBytes = 64;
     cfg.pageBits = 12;
-    cfg.icache = {48 * 1024, 12, 64}; // 64 sets (VIPT)
-    cfg.dcache = {32 * 1024, 8, 64};
-    cfg.l2 = {512 * 1024, 8, 64};
-    cfg.llc = {0, 1, 64};
+    cfg.icache = {48 * 1024, 12};  // 64 sets (VIPT)
+    cfg.dcache = {32 * 1024, 8};
+    cfg.l2 = {512 * 1024, 8};
+    cfg.llc = {0, 1};
     cfg.hasLlc = false;
     cfg.itlb = {32, 4};
     cfg.dtlb = {32, 4};
@@ -161,15 +161,15 @@ firesimCacheConfig(unsigned l1i_kb, unsigned l1i_assoc,
                std::to_string(l1d_assoc) + ":" +
                std::to_string(l2_kb) + "KB/" +
                std::to_string(l2_assoc) + ")";
-    cfg.icache = {l1i_kb * 1024ull, l1i_assoc, 64};
-    cfg.dcache = {l1d_kb * 1024ull, l1d_assoc, 64};
-    cfg.l2 = {l2_kb * 1024ull, l2_assoc, 64};
+    cfg.icache = {l1i_kb * 1024ull, l1i_assoc};
+    cfg.dcache = {l1d_kb * 1024ull, l1d_assoc};
+    cfg.l2 = {l2_kb * 1024ull, l2_assoc};
     // The paper keeps 64 sets so the VIPT constraint holds.
-    g5p_assert(cfg.icache.numSets() == 64 &&
-               cfg.dcache.numSets() == 64,
+    g5p_assert(cfg.icache.numSets(cfg.lineBytes) == 64 &&
+               cfg.dcache.numSets(cfg.lineBytes) == 64,
                "Fig. 14 L1 configs must keep 64 sets "
                "(%uKB/%u-way gives %llu)", l1i_kb, l1i_assoc,
-               (unsigned long long)cfg.icache.numSets());
+               (unsigned long long)cfg.icache.numSets(cfg.lineBytes));
     return cfg;
 }
 

@@ -31,12 +31,14 @@ struct HostPlatformConfig
     /** @} */
 
     /** @{ Memory-system geometry. */
+    /** The one line size: set indexing at every cache level,
+     *  fetch-line numbering and DRAM byte counting. */
     unsigned lineBytes = 64;
     unsigned pageBits = 12;    ///< base page (12 = 4KB, 14 = 16KB)
-    HostCacheGeometry icache{32 * 1024, 8, 64};
-    HostCacheGeometry dcache{32 * 1024, 8, 64};
-    HostCacheGeometry l2{1024 * 1024, 16, 64};
-    HostCacheGeometry llc{36 * 1024 * 1024, 11, 64};
+    HostCacheGeometry icache{32 * 1024, 8};
+    HostCacheGeometry dcache{32 * 1024, 8};
+    HostCacheGeometry l2{1024 * 1024, 16};
+    HostCacheGeometry llc{36 * 1024 * 1024, 11};
     bool hasLlc = true;        ///< FireSim SoC has no L3
     /** @} */
 

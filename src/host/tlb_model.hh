@@ -12,10 +12,10 @@
 #ifndef G5P_HOST_TLB_MODEL_HH
 #define G5P_HOST_TLB_MODEL_HH
 
-#include <functional>
 #include <vector>
 
 #include "base/types.hh"
+#include "host/tag_array.hh"
 
 namespace g5p::host
 {
@@ -47,8 +47,6 @@ class PageSizePolicy
      *  Inline below: runs on every TLB lookup. */
     unsigned pageBits(HostAddr addr) const;
 
-    unsigned basePageBits() const { return basePageBits_; }
-
     /** log2 of a 2MB huge page. */
     static constexpr unsigned hugePageBits = 21;
 
@@ -71,6 +69,7 @@ struct HostTlbGeometry
     unsigned assoc = 8;
 };
 
+/** A TLB: maps an address to its size-tagged page in a tag array. */
 class HostTlb
 {
   public:
@@ -81,33 +80,19 @@ class HostTlb
      *  Inline below so the batched sink loop can fuse it. */
     bool access(HostAddr addr);
 
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
+    std::uint64_t hits() const { return pages_.hits(); }
+    std::uint64_t misses() const { return pages_.misses(); }
 
     double
     missRate() const
     {
-        std::uint64_t total = hits_ + misses_;
-        return total ? (double)misses_ / (double)total : 0.0;
+        std::uint64_t total = hits() + misses();
+        return total ? (double)misses() / (double)total : 0.0;
     }
 
-    void reset();
-
   private:
-    struct Entry
-    {
-        std::uint64_t key = 0;
-        bool valid = false;
-        std::uint64_t lastUsed = 0;
-    };
-
-    HostTlbGeometry geometry_;
     const PageSizePolicy *policy_;
-    unsigned numSets_;
-    std::vector<Entry> entries_;
-    std::uint64_t lruCounter_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    LruTagArray pages_;
 };
 
 inline unsigned
@@ -135,33 +120,12 @@ inline bool
 HostTlb::access(HostAddr addr)
 {
     unsigned bits = policy_->pageBits(addr);
-    // Key: page number tagged with its size class so a 2MB entry is
-    // distinct from 4KB entries over the same range.
-    std::uint64_t key = ((addr >> bits) << 6) | bits;
-    std::uint64_t set = (key >> 6) & (numSets_ - 1);
-
-    Entry *base = &entries_[set * geometry_.assoc];
-    Entry *victim = base;
-    for (unsigned w = 0; w < geometry_.assoc; ++w) {
-        Entry &entry = base[w];
-        if (entry.valid && entry.key == key) {
-            entry.lastUsed = ++lruCounter_;
-            ++hits_;
-            return true;
-        }
-        if (!entry.valid) {
-            victim = &entry;
-        } else if (victim->valid &&
-                   entry.lastUsed < victim->lastUsed) {
-            victim = &entry;
-        }
-    }
-
-    ++misses_;
-    victim->valid = true;
-    victim->key = key;
-    victim->lastUsed = ++lruCounter_;
-    return false;
+    // Key: the page number (its low bits pick the set) tagged with
+    // its size class above the widest page number (a >= 4KB page
+    // number fits in 52 bits), so a 2MB entry is distinct from 4KB
+    // entries over the same range.
+    return pages_.access((addr >> bits) |
+                         ((std::uint64_t)bits << 58));
 }
 
 } // namespace g5p::host

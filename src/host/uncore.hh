@@ -33,7 +33,7 @@ class Uncore
     /** Service one L1 miss. Out-of-line on purpose: L1 misses are
      *  the cold path, and keeping this out of the batched sink loop
      *  keeps that loop compact. */
-    MemResult access(HostAddr addr, bool is_write);
+    MemResult access(HostAddr addr);
 
     /** @{ Counters. */
     std::uint64_t l2Misses() const { return l2_.misses(); }
@@ -48,11 +48,6 @@ class Uncore
     std::uint64_t llcOccupancyPeakBytes() const
     { return llcOccupancyPeak_; }
     /** @} */
-
-    const HostCache &l2() const { return l2_; }
-    const HostCache *llc() const { return llc_.get(); }
-
-    void reset();
 
   private:
     const HostPlatformConfig config_;

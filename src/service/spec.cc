@@ -493,13 +493,14 @@ toRunConfig(const JobSpec &job)
     config.platform = platformByName(job.platform);
     if (job.l2KB > 0) {
         host::HostCacheGeometry &l2 = config.platform.l2;
+        unsigned line = config.platform.lineBytes;
         l2.sizeBytes = (std::uint64_t)job.l2KB * 1024;
         // Keep the base associativity where the size allows full
         // sets; shrink it for tiny L2s so numSets() stays >= 1.
         while (l2.assoc > 1 &&
-               l2.sizeBytes < (std::uint64_t)l2.assoc * l2.lineBytes)
+               l2.sizeBytes < (std::uint64_t)l2.assoc * line)
             l2.assoc /= 2;
-        if (l2.numSets() == 0)
+        if (l2.numSets(line) == 0)
             g5p_throw(ConfigError, specObject, 0,
                       "l2_kb=%u is below one cache line", job.l2KB);
     }

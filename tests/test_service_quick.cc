@@ -249,7 +249,8 @@ TEST(ServiceSpec, ToRunConfigValidatesAndAppliesOverrides)
     core::RunConfig config = toRunConfig(job);
     EXPECT_EQ(config.workload, "sieve");
     EXPECT_EQ(config.platform.l2.sizeBytes, 256u * 1024u);
-    EXPECT_GE(config.platform.l2.numSets(), 1u);
+    EXPECT_GE(config.platform.l2.numSets(config.platform.lineBytes),
+              1u);
     EXPECT_DOUBLE_EQ(config.platform.memBwGBs, 50.0);
 
     JobSpec bogus;

@@ -97,6 +97,18 @@ if [ "$#" -gt 0 ]; then
     ctest --preset sanitize -R 'GoldenRun.*/dispatch_'
 fi
 
+# Host-model pass: one LRU tag array backs every host cache, TLB and
+# the DSB, and indexes a flat entry array by a computed set — an
+# off-by-one in a set mask or a geometry that does not divide is an
+# out-of-bounds read normal runs may survive. The LRU reference tests
+# and the profiled golden rows drive it through every platform shape
+# (128 B lines, 16 KB and 2 MB pages, SMT-partitioned geometries, no
+# LLC, no DSB).
+if [ "$#" -gt 0 ]; then
+    echo "== ctest host-model suite (preset: sanitize) =="
+    ctest --preset sanitize -R '^(HostCache|HostTlb|HostLru|Dsb|Uncore|BranchPredictor|PageSizePolicy|Topdown|Corun)\.|HostCacheCapacity|ProfiledRun'
+fi
+
 # Sweep-service pass: the chaos suite walks the crash/retry/eviction
 # paths on purpose — torn spool files, corrupt cache entries, a
 # service killed between a cache store and the state transition —
